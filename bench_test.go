@@ -269,7 +269,7 @@ func BenchmarkApplyBatch10kMaintain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := NewEngine(WithSeed(1), WithWorkers(1), WithRebuildThreshold(-1, 0))
+		e := NewEngine(WithSeed(1), WithRebuildThreshold(-1, 0))
 		b.StartTimer()
 		if _, err := e.Apply(batch); err != nil {
 			b.Fatal(err)

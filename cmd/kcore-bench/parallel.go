@@ -11,39 +11,26 @@ import (
 	"kcore/internal/workload"
 )
 
-// Parallel-maintenance experiment: measured evidence for the batch
-// execution planner (PR 3). Four question marks, one row group each:
+// Maintain-vs-recompute experiment: measured evidence for the batch
+// execution switch. The experiment keeps its historical name ("parallel")
+// so BENCH_parallel.json and its CI guards stay addressable. Two questions,
+// one row group each:
 //
 //  1. engine/apply-batch — the headline engine benchmark (10k-edge batch
-//     into an empty engine) on the new default path. The batch equals the
+//     into an empty engine) on the default path. The batch equals the
 //     whole graph, so the cost model routes it to one O(m+n) recomputation;
-//     this row is compared against BENCH_hotpath.json's sequential-
-//     maintenance baseline by the CI regression guard.
-//  2. engine/apply-batch/maintain — the same workload forced down the
-//     incremental path (recompute disabled, one worker): the PR 2 baseline
-//     must still be reachable and fast.
-//  3. engine/churn/* — steady-state mixed churn on a prebuilt graph, swept
-//     across worker counts and hot-vertex skew: the conflict-grouped
-//     concurrent runtime's profile. Scattered updates parallelize; hub-
-//     heavy updates collapse into big conflict groups and fall back to
-//     nearly sequential execution (visible in the replayed/live counters).
-//  4. engine/rebuild-crossover/* — maintain vs recompute for growing batch
+//     this row is compared against BENCH_hotpath.json's baseline by the CI
+//     regression guard. engine/apply-batch/maintain forces the same
+//     workload down the incremental path (recompute disabled).
+//  2. engine/rebuild-crossover/* — maintain vs recompute for growing batch
 //     fractions of m, locating the crossover the cost model's default
 //     fraction is calibrated from.
 
 // parallelExperiment runs the experiment and returns the structured results.
 func parallelExperiment(cfg bench.Config) []bench.Result {
 	cfg = cfg.WithDefaults()
-	var results []bench.Result
 	bench.PrintResultHeader(cfg.Out)
-
-	// 1 + 2: the headline batch, default path vs forced maintenance.
-	results = append(results, applyBatchRows(cfg)...)
-	// 3: steady-state churn across workers and skew.
-	results = append(results, churnRows(cfg)...)
-	// 4: maintain-vs-recompute crossover.
-	results = append(results, crossoverRows(cfg)...)
-	return results
+	return append(applyBatchRows(cfg), crossoverRows(cfg)...)
 }
 
 // applyBatchRows mirrors the hotpath experiment's engine/apply-batch
@@ -62,107 +49,27 @@ func applyBatchRows(cfg bench.Config) []bench.Result {
 	params := map[string]any{
 		"edges": len(all), "graph": "barabasi-albert", "seed": cfg.Seed,
 	}
-	defP := map[string]any{"workers": "auto"}
-	for k, v := range params {
-		defP[k] = v
-	}
 	var results []bench.Result
-	results = append(results, bench.RunMeasured(cfg.Out, "engine/apply-batch", defP,
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := kcore.NewEngine(kcore.WithSeed(cfg.Seed))
-				b.StartTimer()
-				if _, err := e.Apply(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-	maintP := map[string]any{"workers": 1}
-	for k, v := range params {
-		maintP[k] = v
-	}
-	results = append(results, bench.RunMeasured(cfg.Out, "engine/apply-batch/maintain", maintP,
-		func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e := kcore.NewEngine(kcore.WithSeed(cfg.Seed),
-					kcore.WithWorkers(1), kcore.WithRebuildThreshold(-1, 0))
-				b.StartTimer()
-				if _, err := e.Apply(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-	return results
-}
-
-// churnRows measures steady-state batched churn (prebuilt graph, mixed
-// adds/removes in fixed-size batches) for each worker count and two skew
-// settings. Timing is best-of-rounds wall clock over the whole stream —
-// the engine evolves across batches, so per-iteration state cannot be reset
-// inside testing.B without distorting the measurement.
-func churnRows(cfg bench.Config) []bench.Result {
-	n := 2 * cfg.Edges
-	m := 6 * cfg.Edges
-	streamLen := cfg.Edges
-	batchSize := max(streamLen/4, 1)
-	base := gen.ErdosRenyi(n, m, cfg.Seed)
-	baseEdges := base.Edges()
-
-	var results []bench.Result
-	for _, skew := range []float64{0.2, 0.9} {
-		ops := workload.Churn(base, streamLen, workload.ChurnOptions{
-			AddFraction: 0.55, Skew: skew, Seed: cfg.Seed + 1})
-		var batches []kcore.Batch
-		for start := 0; start < len(ops); start += batchSize {
-			end := min(start+batchSize, len(ops))
-			b := make(kcore.Batch, 0, end-start)
-			for _, op := range ops[start:end] {
-				if op.Insert {
-					b = append(b, kcore.Add(op.E.U, op.E.V))
-				} else {
-					b = append(b, kcore.Remove(op.E.U, op.E.V))
-				}
-			}
-			batches = append(batches, b)
-		}
-		for _, w := range cfg.Workers {
-			const rounds = 3
-			var best time.Duration
-			var stats kcore.ExecStats
-			for r := 0; r < rounds; r++ {
-				e, err := kcore.FromEdges(baseEdges,
-					kcore.WithSeed(cfg.Seed), kcore.WithWorkers(w),
-					kcore.WithRebuildThreshold(-1, 0))
-				if err != nil {
-					panic(err)
-				}
-				start := time.Now()
-				for _, b := range batches {
-					if _, err := e.Apply(b); err != nil {
-						panic(err)
+	for _, row := range []struct {
+		name string
+		opts []kcore.Option
+	}{
+		{"engine/apply-batch", nil},
+		{"engine/apply-batch/maintain", []kcore.Option{kcore.WithRebuildThreshold(-1, 0)}},
+	} {
+		opts := append([]kcore.Option{kcore.WithSeed(cfg.Seed)}, row.opts...)
+		results = append(results, bench.RunMeasured(cfg.Out, row.name, params,
+			func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					e := kcore.NewEngine(opts...)
+					b.StartTimer()
+					if _, err := e.Apply(batch); err != nil {
+						b.Fatal(err)
 					}
 				}
-				if d := time.Since(start); r == 0 || d < best {
-					best = d
-				}
-				stats = e.ExecStats()
-			}
-			params := bench.StampParams(map[string]any{
-				"graph_n": n, "graph_m": m, "stream": streamLen,
-				"batch_size": batchSize, "skew": skew, "workers": w,
-				"replayed": stats.Replayed, "live": stats.Live + stats.Sequential,
-				"unit": "ns per whole stream", "rounds": rounds,
-			})
-			name := fmt.Sprintf("engine/churn/skew%02.0f/w%d", skew*10, w)
-			res := bench.Result{Name: name, NsPerOp: float64(best.Nanoseconds()),
-				Iterations: rounds, Params: params}
-			fmt.Fprintf(cfg.Out, "%-28s %14.0f %12s %12s\n", name, res.NsPerOp, "-", "-")
-			results = append(results, res)
-		}
+			}))
 	}
 	return results
 }
@@ -191,7 +98,7 @@ func crossoverRows(cfg bench.Config) []bench.Result {
 			const rounds = 3
 			var best time.Duration
 			for r := 0; r < rounds; r++ {
-				opts := []kcore.Option{kcore.WithSeed(cfg.Seed), kcore.WithWorkers(1)}
+				opts := []kcore.Option{kcore.WithSeed(cfg.Seed)}
 				if mode == "maintain" {
 					opts = append(opts, kcore.WithRebuildThreshold(-1, 0))
 				} else {
@@ -215,7 +122,7 @@ func crossoverRows(cfg bench.Config) []bench.Result {
 			}
 			params := bench.StampParams(map[string]any{
 				"graph_n": n, "graph_m": m, "batch": count, "frac": frac,
-				"mode": mode, "workers": 1,
+				"mode": mode,
 				"unit": "ns per whole batch", "rounds": rounds,
 			})
 			name := fmt.Sprintf("engine/rebuild-crossover/f%03.0f/%s", frac*100, mode)

@@ -300,3 +300,22 @@ func TestRunRejectsFollowMultiTenant(t *testing.T) {
 		t.Fatalf("run with single-tenant flags: want a bootstrap error, got: %v", err)
 	}
 }
+
+// TestRunStopsRightAfterListening: a stop signal that lands as soon as the
+// "listening on" line is out — before or after the accept loop starts —
+// is a clean shutdown: run returns nil and says bye. The server-level
+// TestServeAfterShutdownReturnsNil pins the Shutdown-before-Serve order.
+func TestRunStopsRightAfterListening(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		var out bytes.Buffer
+		err := run(ctx, []string{"-addr", "127.0.0.1:0"}, &out, func(string) { cancel() })
+		cancel()
+		if err != nil {
+			t.Fatalf("run %d = %v, want nil\n%s", i, err, out.String())
+		}
+		if !strings.HasSuffix(out.String(), "bye\n") {
+			t.Fatalf("run %d output does not end with bye:\n%s", i, out.String())
+		}
+	}
+}

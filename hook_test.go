@@ -3,8 +3,12 @@ package kcore
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
+
+	"kcore/internal/gen"
+	"kcore/internal/workload"
 )
 
 // TestApplyHookObservesBatches: the hook sees every applied batch's
@@ -284,39 +288,93 @@ func TestReplayNotifyAcrossStrategies(t *testing.T) {
 	}
 }
 
-// TestHookSeesParallelAndRebuildBatches: the hook fires once per Apply for
-// every execution strategy with the right survivors.
-func TestHookSeesParallelAndRebuildBatches(t *testing.T) {
+// TestHookSeesLargeBatches pins the two paths a large batch can take:
+// per-update maintenance (the default below the rebuild threshold) and
+// wholesale recomputation. On each, the hook fires once with the batch's
+// survivors, ExecStats attributes every applied update to the path, the
+// results equal a fresh engine's, and replaying the hook's AppliedBatch
+// into a fresh engine reproduces the applied state.
+func TestHookSeesLargeBatches(t *testing.T) {
+	g := gen.ErdosRenyi(2000, 6000, 51)
+	base := g.Edges()
+	ops := workload.Churn(g, 300, workload.ChurnOptions{AddFraction: 0.55, Seed: 53})
+	var batch Batch
+	for i, op := range ops {
+		if !op.Insert {
+			batch = append(batch, Remove(op.E.U, op.E.V))
+			continue
+		}
+		batch = append(batch, Add(op.E.U, op.E.V))
+		if i%17 == 3 {
+			// Take the insertion right back: a coalescable pair.
+			batch = append(batch, Remove(op.E.U, op.E.V), Add(op.E.U, op.E.V))
+		}
+	}
 	for _, tc := range []struct {
-		name string
-		opts []Option
-		n    int
+		name       string
+		opts       []Option
+		recomputed bool
 	}{
-		{"parallel", []Option{WithWorkers(4), WithSeed(3)}, 200},
-		{"rebuild", []Option{WithRebuildThreshold(4, 0.0), WithSeed(3)}, 40},
+		// Default config: 300 survivors stay under the rebuild threshold
+		// (0.15 of m + n, about 1,200 here).
+		{"sequential", nil, false},
+		{"rebuild", []Option{WithRebuildThreshold(4, 0)}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine(tc.opts...)
-			var got []Update
-			var seq uint64
+			fresh := func(opts ...Option) *Engine {
+				e, err := FromEdges(base, append([]Option{WithSeed(3)}, opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			e := fresh(tc.opts...)
+			var rec AppliedBatch
 			calls := 0
-			e.SetApplyHook(func(rec AppliedBatch) error {
+			e.SetApplyHook(func(ab AppliedBatch) error {
 				calls++
-				got = slices.Clone(rec.Updates)
-				seq = rec.Seq
+				rec = AppliedBatch{Seq: ab.Seq, Updates: slices.Clone(ab.Updates)}
 				return nil
 			})
-			batch := make(Batch, 0, tc.n)
-			for i := 0; i < tc.n; i++ {
-				batch = append(batch, Add(i%9, 9+i))
-			}
 			info, err := e.Apply(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if calls != 1 || seq != info.Seq || len(got) != tc.n {
+			if info.Recomputed != tc.recomputed || info.Coalesced == 0 || info.Applied < 128 {
+				t.Fatalf("batch took the wrong path or shape: %+v", info)
+			}
+			if calls != 1 || rec.Seq != info.Seq || len(rec.Updates) != info.Applied {
 				t.Fatalf("hook calls=%d seq=%d (want %d) survivors=%d (want %d)",
-					calls, seq, info.Seq, len(got), tc.n)
+					calls, rec.Seq, info.Seq, len(rec.Updates), info.Applied)
+			}
+			want := ExecStats{Sequential: uint64(info.Applied)}
+			if tc.recomputed {
+				want = ExecStats{Recomputed: uint64(info.Applied)}
+			}
+			if st := e.ExecStats(); st != want {
+				t.Fatalf("ExecStats = %+v, want %+v", st, want)
+			}
+
+			// Per-update maintenance is the reference: a fresh engine with
+			// recomputation disabled must report the identical BatchInfo.
+			ref := fresh(WithRebuildThreshold(-1, 0))
+			refInfo, err := ref.Apply(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.recomputed && !reflect.DeepEqual(info, refInfo) {
+				t.Fatalf("BatchInfo differs from the reference:\n got %+v\nwant %+v", info, refInfo)
+			}
+			replayed := fresh()
+			if rinfo, err := replayed.Replay(rec.Updates); err != nil || rinfo.Seq != info.Seq {
+				t.Fatalf("replay of the AppliedBatch: seq %d, err %v; want seq %d", rinfo.Seq, err, info.Seq)
+			}
+			if err := e.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			got := e.Cores()
+			if !slices.Equal(got, ref.Cores()) || !slices.Equal(got, replayed.Cores()) {
+				t.Fatal("cores differ from the reference or the replayed engine")
 			}
 		})
 	}

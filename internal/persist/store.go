@@ -39,7 +39,9 @@ type Store struct {
 
 	// mu guards the WAL handle and the counters below. The apply hook takes
 	// it under the engine's write lock, so nothing holding mu may acquire
-	// engine locks.
+	// engine locks. lastCErr and lastSErr hold the background compaction
+	// and interval fsync failures that have not healed since (see Close);
+	// sErrSeq is the last WAL seq when lastSErr was recorded.
 	mu         sync.Mutex
 	wal        *wal
 	closed     bool
@@ -51,6 +53,7 @@ type Store struct {
 	lastCErr   error
 	sErrs      uint64
 	lastSErr   error
+	sErrSeq    uint64
 	recovered  uint64
 	recSeq     uint64
 	torn       int64
@@ -180,13 +183,22 @@ func (s *Store) syncLoop() {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			if !s.closed && s.wal != nil && s.wal.dirty {
-				if err := s.wal.sync(); err != nil {
+			if !s.closed && s.wal != nil {
+				var err error
+				if s.wal.dirty {
+					err = s.wal.sync()
+				}
+				if err != nil {
 					// A durability failure, not a compaction one: batches it
 					// covers were already acknowledged, so count it where
 					// Stats.SyncErrors makes it visible.
 					s.sErrs++
 					s.lastSErr = err
+					s.sErrSeq = s.wal.lastSeq
+				} else {
+					// A failed sync leaves the log dirty, so a clean log
+					// means a later fsync succeeded: the failure healed.
+					s.lastSErr = nil
 				}
 			}
 			s.mu.Unlock()
@@ -323,14 +335,7 @@ func (s *Store) compactLoop() {
 		case <-s.stop:
 			return
 		case <-s.compactCh:
-			// A signal racing Close can lose to the closed flag inside
-			// Snapshot; that is a benign shutdown, not a compaction failure.
-			if _, err := s.Snapshot(); err != nil && !errors.Is(err, errStoreClosed) {
-				s.mu.Lock()
-				s.cErrs++
-				s.lastCErr = err
-				s.mu.Unlock()
-			}
+			s.compact(true)
 		}
 	}
 }
@@ -355,10 +360,39 @@ type SnapshotInfo struct {
 // SnapshotInfo is still valid and the error wraps ErrCompaction (partial
 // success). Snapshot is also the repair path after a failed WAL append: the
 // new snapshot re-covers the engine state the log is missing and rebuilds a
-// sealed log file, after which appends resume.
-func (s *Store) Snapshot() (SnapshotInfo, error) {
+// sealed log file, after which appends resume. A full success also heals
+// earlier background failures, which Close then no longer reports.
+func (s *Store) Snapshot() (SnapshotInfo, error) { return s.compact(false) }
+
+// compact runs one snapshot compaction and settles the record of
+// unhealed background failures. It does so under snapMu, so a failure and
+// a success that race are recorded in the order they ran:
+//   - a full success clears the compaction failure, and the fsync failure
+//     when the snapshot covers every record that sync left unsynced;
+//   - a background failure is counted and kept for Close. A background run
+//     that loses to Close's closed flag is a benign shutdown, not a
+//     failure.
+func (s *Store) compact(background bool) (SnapshotInfo, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
+	info, err := s.snapshotLocked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case err == nil:
+		s.lastCErr = nil
+		if info.Seq >= s.sErrSeq {
+			s.lastSErr = nil
+		}
+	case background && !errors.Is(err, errStoreClosed):
+		s.cErrs++
+		s.lastCErr = err
+	}
+	return info, err
+}
+
+// snapshotLocked is Snapshot's body; the caller holds snapMu.
+func (s *Store) snapshotLocked() (SnapshotInfo, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -485,8 +519,12 @@ func (s *Store) Stats() Stats {
 
 // Close detaches the apply hook, stops the background compactor, and syncs
 // and closes the WAL. The engine remains usable afterwards — it just stops
-// being logged. Close returns the last background compaction and interval
-// fsync errors, if any occurred. It is idempotent.
+// being logged. Besides its own WAL close error, Close reports only
+// background failures that have not healed: the last background
+// compaction error, unless a later compaction or Snapshot fully succeeded,
+// and the last interval fsync error, unless a later fsync succeeded or a
+// later snapshot covers the records it left unsynced. Healed failures stay
+// counted in Stats.CompactErrors and Stats.SyncErrors. It is idempotent.
 func (s *Store) Close() error {
 	s.engine.SetApplyHook(nil) // waits out any in-flight Apply (write lock)
 	s.mu.Lock()

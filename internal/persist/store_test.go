@@ -2,8 +2,10 @@ package persist
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -725,4 +727,103 @@ func TestIntervalSyncCoversIdleTail(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("no fsync within 5s of an idle append (stats %+v)", st.Stats())
+}
+
+// waitStats polls the store's counters until cond holds.
+func waitStats(t *testing.T, st *Store, cond func(Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond(st.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("condition not reached within 5s (stats %+v)", st.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCloseReportsOnlyUnhealedCompactionFailures: a background compaction
+// failure is reported by Close until a later compaction, background or
+// explicit, fully succeeds; the counter keeps the history either way.
+func TestCloseReportsOnlyUnhealedCompactionFailures(t *testing.T) {
+	boom := errors.New("injected disk outage")
+	for _, heal := range []string{"none", "snapshot", "compaction"} {
+		t.Run(heal, func(t *testing.T) {
+			pl := fault.New(1)
+			st, err := Open(t.TempDir(), Options{Sync: SyncOff, CompactBytes: 1, Fault: pl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := st.Engine()
+			pl.Fail(fault.WALCompact, 1, boom)
+			if _, err := e.AddEdge(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			waitStats(t, st, func(s Stats) bool { return s.CompactErrors == 1 })
+			switch heal {
+			case "snapshot":
+				if _, err := st.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			case "compaction":
+				if _, err := e.AddEdge(1, 2); err != nil {
+					t.Fatal(err)
+				}
+				// The log empties only when the second compaction's WAL
+				// shrink succeeded; Close waits out the rest of that run.
+				waitStats(t, st, func(s Stats) bool { return s.WALRecords == 0 })
+			}
+			err = st.Close()
+			if heal == "none" {
+				if !errors.Is(err, boom) {
+					t.Fatalf("Close = %v, want the unhealed compaction failure", err)
+				}
+			} else if err != nil {
+				t.Fatalf("Close = %v, want nil after the %s healed the failure", err, heal)
+			}
+			if got := st.Stats().CompactErrors; got != 1 {
+				t.Fatalf("CompactErrors = %d, want 1: healing keeps the history", got)
+			}
+		})
+	}
+}
+
+// TestCloseReportsOnlyUnhealedSyncFailures: an interval fsync failure is
+// reported by Close until a later fsync succeeds.
+func TestCloseReportsOnlyUnhealedSyncFailures(t *testing.T) {
+	boom := errors.New("injected fsync failure")
+	for _, heal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("heal=%v", heal), func(t *testing.T) {
+			pl := fault.New(1)
+			st, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncEvery: 2 * time.Millisecond,
+				CompactBytes: -1, Fault: pl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Engine().AddEdge(0, 1); err != nil {
+				t.Fatal(err)
+			}
+			count := 0 // every fsync fails
+			if heal {
+				count = 1
+			}
+			// Arm the fault and hand the next fsync to the background timer
+			// in one step, so no tick runs in between.
+			st.mu.Lock()
+			pl.Fail(fault.WALSync, count, boom)
+			st.wal.dirty = true
+			synced := st.wal.syncs
+			st.mu.Unlock()
+			waitStats(t, st, func(s Stats) bool { return s.SyncErrors >= 1 })
+			if heal {
+				waitStats(t, st, func(s Stats) bool { return s.Syncs > synced })
+			}
+			err = st.Close()
+			if heal && err != nil {
+				t.Fatalf("Close = %v, want nil after a later fsync succeeded", err)
+			}
+			if !heal && (!errors.Is(err, boom) || !strings.Contains(err.Error(), "background WAL sync")) {
+				t.Fatalf("Close = %v, want the unhealed background sync failure", err)
+			}
+		})
+	}
 }

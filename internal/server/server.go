@@ -256,12 +256,15 @@ func (s *Server) readOnly() bool { return s.opts.ReadOnly || s.opts.Follower != 
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Serve accepts connections on l until Shutdown. It returns nil after a
-// clean shutdown (http.ErrServerClosed is swallowed).
+// clean shutdown (http.ErrServerClosed is swallowed). Like net/http, a
+// Serve that starts after Shutdown (or Close) closes l and returns at once,
+// with the same nil a Serve stopped by Shutdown returns.
 func (s *Server) Serve(l net.Listener) error {
 	s.httpMu.Lock()
 	if s.draining.Load() {
 		s.httpMu.Unlock()
-		return fmt.Errorf("server: Serve after Shutdown")
+		l.Close()
+		return nil
 	}
 	if s.httpSrv != nil {
 		s.httpMu.Unlock()

@@ -267,7 +267,10 @@ waitClosed:
 	}
 }
 
-func TestServeAfterShutdownFails(t *testing.T) {
+// TestServeAfterShutdownReturnsNil: a Serve that starts after Shutdown
+// returns the nil a Serve stopped by Shutdown returns, and closes the
+// listener without accepting, as net/http's Serve does.
+func TestServeAfterShutdownReturnsNil(t *testing.T) {
 	s := New(kcore.NewEngine(), Options{})
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -277,8 +280,11 @@ func TestServeAfterShutdownFails(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer l.Close()
-	if err := s.Serve(l); err == nil {
-		t.Fatal("Serve after Shutdown succeeded, want error")
+	if err := s.Serve(l); err != nil {
+		t.Fatalf("Serve after Shutdown = %v, want nil", err)
+	}
+	if _, err := l.Accept(); err == nil {
+		t.Fatal("listener still accepting after Serve returned")
 	}
 }
 

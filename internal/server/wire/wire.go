@@ -280,6 +280,9 @@ type KCoreResponse struct {
 // execution mode, plus the count of contained engine panics.
 type ExecStats struct {
 	Sequential uint64 `json:"sequential"`
+	// Replayed and Live counted the updates of the removed parallel batch
+	// runtime. They are kept on the wire for client compatibility and are
+	// always 0.
 	Replayed   uint64 `json:"replayed"`
 	Live       uint64 `json:"live"`
 	Recomputed uint64 `json:"recomputed"`

@@ -19,9 +19,8 @@ type ChurnOptions struct {
 	// Skew in [0, 1) concentrates endpoint selection on a hot subset of
 	// vertices: 0 is uniform; as skew approaches 1, insertions increasingly
 	// target the same few (randomly chosen) hot vertices, driving up the
-	// conflict rate between nearby updates. This is the knob that stresses
-	// a conflict-grouping batch planner realistically — hub-centric streams
-	// serialize, scattered streams parallelize.
+	// conflict rate between nearby updates: hub-centric streams make
+	// neighbouring updates touch the same high-core region.
 	Skew float64
 	// Seed drives the stream deterministically.
 	Seed uint64

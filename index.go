@@ -5,7 +5,6 @@ import (
 
 	"kcore/internal/graph"
 	"kcore/internal/korder"
-	"kcore/internal/order"
 
 	"kcore/internal/decomp"
 )
@@ -79,7 +78,7 @@ func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 	copy(ord, st.Order)
 	m, err := korder.Restore(g, cores, ord, korder.Options{
 		Heuristic: decomp.Heuristic(cfg.heuristic),
-		OrderKind: order.Kind(cfg.structure),
+		OrderKind: cfg.structure.kind(),
 		Seed:      cfg.seed,
 	})
 	if err != nil {

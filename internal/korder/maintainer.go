@@ -22,7 +22,8 @@ type Options struct {
 	// Heuristic selects the initial k-order generation heuristic
 	// (default: small deg+ first, the paper's recommendation).
 	Heuristic decomp.Heuristic
-	// OrderKind selects the per-level order structure (default: treap).
+	// OrderKind selects the per-level order structure (default: the tag
+	// list; order.KindTreap is the paper's order-statistics tree).
 	OrderKind order.Kind
 	// Seed drives all internal randomization deterministically.
 	Seed uint64
@@ -191,6 +192,15 @@ func (m *Maintainer) Order() []int {
 
 // Stats returns accumulated work counters.
 func (m *Maintainer) Stats() Stats { return m.stats }
+
+// OrderKind reports the structure that actually backs the per-level lists
+// (diagnostics: it inspects the lists rather than echoing Options).
+func (m *Maintainer) OrderKind() order.Kind {
+	if _, ok := m.levels[0].(*order.Treap); ok {
+		return order.KindTreap
+	}
+	return order.KindTagList
+}
 
 // ResetStats zeroes accumulated work counters.
 func (m *Maintainer) ResetStats() { m.stats = Stats{} }

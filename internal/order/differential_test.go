@@ -276,3 +276,91 @@ func TestTagListGapExhaustion(t *testing.T) {
 	}
 	checkAgainst(t, "taglist-sibling", sibling, sibRef)
 }
+
+// checkSequence compares l against the oracle ref in O(n): the same
+// elements front to back, consistent Prev/Back, and strictly increasing
+// keys (so Less agrees with the order). It is the linear-time subset of
+// checkAgainst for lists too long for per-element Rank.
+func checkSequence(t *testing.T, tag string, l, ref List) {
+	t.Helper()
+	if l.Len() != ref.Len() {
+		t.Fatalf("%s: Len=%d want %d", tag, l.Len(), ref.Len())
+	}
+	prev, walked := -1, 0
+	v, ok := l.Front()
+	for r, rok := ref.Front(); rok; r, rok = ref.Next(r) {
+		if !ok || v != r {
+			t.Fatalf("%s: position %d holds (%d,%v), want %d", tag, walked, v, ok, r)
+		}
+		if prev >= 0 {
+			if l.Key(prev) >= l.Key(v) {
+				t.Fatalf("%s: Key not increasing at position %d", tag, walked)
+			}
+			if p, pok := l.Prev(v); !pok || p != prev {
+				t.Fatalf("%s: Prev(%d)=(%d,%v) want %d", tag, v, p, pok, prev)
+			}
+		}
+		prev, walked = v, walked+1
+		v, ok = l.Next(v)
+	}
+	if ok {
+		t.Fatalf("%s: list longer than the reference", tag)
+	}
+	if b, _ := l.Back(); walked > 0 && b != prev {
+		t.Fatalf("%s: Back=%d want %d", tag, b, prev)
+	}
+}
+
+// TestTagListEndAppendsDoNotRenumber guards against relabel storms. Core
+// maintenance appends at the ends of its levels: the level builds and
+// OrderRemoval push to the back, OrderInsert pushes to the front. Midpoint
+// tags halve the end gap on every such append and renumber the whole list
+// every few dozen appends; the fixed end stride must keep each 100k-append
+// pattern within maxRenumbers.
+func TestTagListEndAppendsDoNotRenumber(t *testing.T) {
+	const n = 100_000
+	const maxRenumbers = 1
+	push := func(l, ref List, v int, front bool) {
+		if front {
+			l.PushFront(v)
+			ref.PushFront(v)
+		} else {
+			l.PushBack(v)
+			ref.PushBack(v)
+		}
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for _, c := range []struct {
+		name  string
+		setup func(tl *TagList, ref List) // may leave elements 0..999 behind
+		front func(i int) bool
+	}{
+		{"pushback-from-empty", nil, func(int) bool { return false }},
+		{"pushfront-after-renumber", func(tl *TagList, ref List) {
+			// Dense inserts behind the head exhaust a gap and renumber.
+			push(tl, ref, 0, false)
+			for v := 1; v < 1000; v++ {
+				tl.InsertAfter(0, v)
+				ref.InsertAfter(0, v)
+			}
+			if tl.Renumbers() == 0 {
+				t.Fatal("setup did not renumber")
+			}
+		}, func(int) bool { return true }},
+		{"interleaved-front-back", nil, func(int) bool { return rng.IntN(2) == 0 }},
+	} {
+		tl, ref := NewTagList(), newPtrList()
+		if c.setup != nil {
+			c.setup(tl, ref)
+		}
+		before := tl.Renumbers()
+		for i := 0; i < n; i++ {
+			push(tl, ref, 1000+i, c.front(i))
+		}
+		if got := tl.Renumbers() - before; got > maxRenumbers {
+			t.Errorf("%s: %d end appends renumbered %d times, want <= %d",
+				c.name, n, got, maxRenumbers)
+		}
+		checkSequence(t, c.name, tl, ref)
+	}
+}

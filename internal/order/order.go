@@ -3,13 +3,14 @@
 //
 // Two implementations of the List interface are provided:
 //
+//   - TagList: a Dietz–Sleator style labeled list with O(1) order
+//     comparison. Interior inserts take the midpoint of the neighbor gap
+//     and end inserts a fixed stride, so the end appends of core
+//     maintenance rarely renumber. This is the default structure.
 //   - Treap: the paper's order-statistics tree (Section VI(A)), built on a
 //     randomized treap with subtree sizes and parent pointers. Rank and
 //     order comparison cost O(log n); every structural update costs
-//     O(log n) expected.
-//   - TagList: a Dietz–Sleator style labeled list that supports O(1) order
-//     comparison with amortized O(1) relabeling on insert. Included as the
-//     ablation for the paper's data-structure choice.
+//     O(log n) expected. Kept as the paper-faithful ablation.
 //
 // Both embed a doubly linked list for O(1) Next/Prev traversal, mirroring
 // the paper's implementation note that O_k is kept in a linked list with an
@@ -59,14 +60,16 @@ type List interface {
 	Prev(v int) (w int, ok bool)
 }
 
-// Kind selects a List implementation.
+// Kind selects a List implementation. The zero value is KindTagList.
 type Kind int
 
 const (
-	// KindTreap selects the order-statistics treap (the paper's choice).
-	KindTreap Kind = iota
-	// KindTagList selects the labeled list ablation.
-	KindTagList
+	// KindTagList selects the labeled list with O(1) comparisons (the
+	// default).
+	KindTagList Kind = iota
+	// KindTreap selects the order-statistics treap (the paper's choice,
+	// kept as the ablation).
+	KindTreap
 )
 
 // String returns a human-readable implementation name.
@@ -92,10 +95,10 @@ func NewList(k Kind, seed uint64) List {
 // vertex sets (see Arena).
 func NewListOn(a *Arena, k Kind, seed uint64) List {
 	switch k {
-	case KindTagList:
-		return NewTagListOn(a)
-	default:
+	case KindTreap:
 		return NewTreapOn(a, seed)
+	default:
+		return NewTagListOn(a)
 	}
 }
 

@@ -374,6 +374,14 @@ func BenchmarkTreapPushBack(b *testing.B) {
 	}
 }
 
+func BenchmarkTagListPushBack(b *testing.B) {
+	tl := NewTagList()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tl.PushBack(i)
+	}
+}
+
 func BenchmarkTreapLess(b *testing.B) {
 	tr := NewTreap(1)
 	for i := 0; i < 100000; i++ {

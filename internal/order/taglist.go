@@ -3,15 +3,20 @@ package order
 import "math"
 
 // TagList is a labeled order-maintenance list in the style of Dietz and
-// Sleator: every element carries a 64-bit tag, order comparison is a tag
-// comparison (O(1)), and insertion places the new tag at the midpoint of
-// its neighbors' tags, renumbering the whole list in the rare case the gap
-// is exhausted. With 64-bit tags and the uniform renumbering below, global
-// renumbering is amortized away for the update patterns core maintenance
-// produces (front/back/cursor insertions).
+// Sleator: every element carries a 64-bit tag and order comparison is a tag
+// comparison (O(1)). An interior insertion takes the midpoint of its
+// neighbors' tags. An insertion at either end takes a fixed stride
+// (tagStride) from its neighbor instead, so the end-append patterns of core
+// maintenance — the level builds, OrderRemoval's moves to the back of
+// O_{K-1} and OrderInsert's moves to the front of O_{K+1} — consume the end
+// gaps linearly instead of halving them. When a gap is exhausted the whole
+// list is renumbered uniformly across the middle half of the tag space,
+// which leaves a quarter of the space free at each end for further
+// appends.
 //
-// TagList is the ablation counterpart of Treap: Less costs O(1) instead of
-// O(log n), at the price of O(n) Rank (used only in tests/diagnostics).
+// TagList is the default order structure: Less and Key cost O(1) instead
+// of the treap's O(log n), at the price of O(n) Rank (used only in
+// tests/diagnostics).
 //
 // Nodes live in an Arena (tags in the arena's key column); steady-state
 // updates allocate nothing. Several lists may share one arena (see Arena).
@@ -66,22 +71,35 @@ func (t *TagList) upperTag(n int32) uint64 {
 	return t.a.key[t.a.next[n]]
 }
 
+// tagStride is the tag distance an end insertion keeps from its neighbor
+// while the end gap allows it: each quarter of the tag space that renumber
+// leaves free holds 2^30 end appends.
+const tagStride = 1 << 32
+
 // assignTag picks a tag strictly between the neighbors of n, renumbering
 // first when the gap is exhausted. n must already be linked into the DLL.
 func (t *TagList) assignTag(n int32) {
+	a := t.a
 	lo, hi := t.lowerTag(n), t.upperTag(n)
-	if hi-lo >= 2 {
-		t.a.key[n] = lo + (hi-lo)/2
-		return
+	switch gap := hi - lo; {
+	case gap < 2:
+		t.renumber()
+	case gap > tagStride && a.next[n] == 0 && a.prev[n] != 0: // new tail
+		a.key[n] = lo + tagStride
+	case gap > tagStride && a.prev[n] == 0 && a.next[n] != 0: // new head
+		a.key[n] = hi - tagStride
+	default:
+		a.key[n] = lo + gap/2
 	}
-	t.renumber()
 }
 
-// renumber spreads all tags uniformly across the 64-bit space.
+// renumber spreads all tags uniformly across the middle half of the 64-bit
+// space, leaving a quarter free at each end for end insertions.
 func (t *TagList) renumber() {
 	t.renumbers++
-	step := math.MaxUint64/(uint64(t.n)+1) | 1
-	tag := step
+	const base = 1 << 62
+	step := (1<<63)/(uint64(t.n)+1) | 1
+	tag := base + step
 	for e := t.head; e != 0; e = t.a.next[e] {
 		t.a.key[e] = tag
 		tag += step

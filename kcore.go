@@ -105,16 +105,27 @@ const (
 )
 
 // OrderStructure selects the per-level order representation (order-based
-// engine only).
+// engine only). The numeric values are persisted in snapshots and never
+// change: TreapOrder is 0 and TagOrder is 1.
 type OrderStructure int
 
 const (
 	// TreapOrder uses the paper's order-statistics treap (O(log n)
-	// comparisons, O(log n) updates).
+	// comparisons, O(log n) updates). It is kept as the paper-faithful
+	// ablation of the default TagOrder.
 	TreapOrder OrderStructure = iota
-	// TagOrder uses a labeled order-maintenance list (O(1) comparisons).
+	// TagOrder uses a labeled order-maintenance list (O(1) comparisons,
+	// amortized O(1) updates). It is the default.
 	TagOrder
 )
+
+// kind maps s to the internal order structure it selects.
+func (s OrderStructure) kind() order.Kind {
+	if s == TreapOrder {
+		return order.KindTreap
+	}
+	return order.KindTagList
+}
 
 type config struct {
 	algorithm    Algorithm
@@ -135,8 +146,8 @@ const (
 )
 
 func defaultConfig() config {
-	return config{hops: 2, seed: 1, rebuildFloor: defaultRebuildFloor,
-		rebuildFrac: defaultRebuildFrac}
+	return config{structure: TagOrder, hops: 2, seed: 1,
+		rebuildFloor: defaultRebuildFloor, rebuildFrac: defaultRebuildFrac}
 }
 
 // Option configures an Engine.
@@ -149,8 +160,9 @@ func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.algorithm = 
 // SmallDegPlusFirst; order-based engine only).
 func WithHeuristic(h Heuristic) Option { return func(c *config) { c.heuristic = h } }
 
-// WithOrderStructure selects the order representation (default TreapOrder;
-// order-based engine only).
+// WithOrderStructure selects the order representation (default TagOrder;
+// order-based engine only). TreapOrder selects the paper's order-statistics
+// tree as an ablation; both give identical cores and k-orders.
 func WithOrderStructure(s OrderStructure) Option { return func(c *config) { c.structure = s } }
 
 // WithTraversalHops sets h for the traversal engine (default 2; ignored by
@@ -343,7 +355,7 @@ func fromGraph(g *graph.Undirected, cfg config) (*Engine, error) {
 	case OrderBased:
 		e.m = orderImpl{korder.New(g, korder.Options{
 			Heuristic: decomp.Heuristic(cfg.heuristic),
-			OrderKind: order.Kind(cfg.structure),
+			OrderKind: cfg.structure.kind(),
 			Seed:      cfg.seed,
 		})}
 	case Traversal:
@@ -627,7 +639,7 @@ func LoadIndex(r io.Reader, opts ...Option) (*Engine, error) {
 	}
 	m, err := korder.LoadSnapshot(r, korder.Options{
 		Heuristic: decomp.Heuristic(cfg.heuristic),
-		OrderKind: order.Kind(cfg.structure),
+		OrderKind: cfg.structure.kind(),
 		Seed:      cfg.seed,
 	})
 	if err != nil {

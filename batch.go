@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"kcore/internal/traversal"
+	"kcore/internal/korder"
 )
 
 // Batched updates: Apply takes the engine's write lock once, pre-validates
@@ -181,12 +181,7 @@ func (e *Engine) executeGuarded(batch Batch, skip []bool, coalesced int) (info B
 // panics, the engine is beyond recovery and the panic propagates.
 func (e *Engine) containPanic(r any) (BatchInfo, error) {
 	oldCores := e.m.Cores()
-	switch impl := e.m.(type) {
-	case orderImpl:
-		impl.m.Reseed()
-	case travImpl:
-		e.m = travImpl{traversal.New(e.g, e.cfg.hops)}
-	}
+	e.m.Reseed()
 	var changed []int
 	for v := 0; v < e.g.NumVertices(); v++ {
 		old := 0
@@ -209,7 +204,7 @@ func (e *Engine) containPanic(r any) (BatchInfo, error) {
 // the per-update BatchInfo.Updates entry that the rebuild path elides.
 func (e *Engine) executeBatch(batch Batch, skip []bool, coalesced int) (BatchInfo, error) {
 	applied := len(batch) - coalesced
-	if impl, ok := e.m.(orderImpl); ok && applied > 1 {
+	if applied > 1 {
 		adds, removes := 0, 0
 		for i, up := range batch {
 			if skip != nil && skip[i] {
@@ -222,7 +217,7 @@ func (e *Engine) executeBatch(batch Batch, skip []bool, coalesced int) (BatchInf
 			}
 		}
 		if e.shouldRebuild(applied, adds, removes) {
-			return e.applyRebuild(impl, batch, skip, coalesced)
+			return e.applyRebuild(batch, skip, coalesced)
 		}
 	}
 	return e.applySequential(batch, skip, coalesced)
@@ -240,7 +235,7 @@ func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (Batch
 	if dedup {
 		e.dedupCur++
 	}
-	// The maintainers return Changed slices that alias their pooled scratch
+	// The maintainer returns Changed slices that alias its pooled scratch
 	// (valid only until the next update), while BatchInfo escapes to the
 	// caller indefinitely. Copy-on-return: all per-update CoreChanged
 	// slices are carved out of one fresh per-batch buffer, costing O(1)
@@ -253,14 +248,14 @@ func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (Batch
 			info.Updates = append(info.Updates, UpdateInfo{Coalesced: true})
 			continue
 		}
-		var changed []int
-		var visited int
+		var r korder.UpdateResult
 		var err error
 		if up.Op == OpAdd {
-			changed, visited, err = e.m.Insert(up.U, up.V)
+			r, err = e.m.Insert(up.U, up.V)
 		} else {
-			changed, visited, err = e.m.Remove(up.U, up.V)
+			r, err = e.m.Remove(up.U, up.V)
 		}
+		changed, visited := r.Changed, r.Visited
 		if err != nil {
 			// Unreachable after validation; reported structurally anyway so
 			// callers can tell how far the batch got.

@@ -200,7 +200,7 @@ func BenchmarkTravInsertSocialH2(b *testing.B) { benchmarkTravInsert(b, "social"
 func BenchmarkTravInsertRoadH2(b *testing.B)   { benchmarkTravInsert(b, "road", 2) }
 
 // BenchmarkEngineAddRemove measures the public API round trip on a mixed
-// stream (order-based engine).
+// stream.
 func BenchmarkEngineAddRemove(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(WithSeed(2))

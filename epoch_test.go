@@ -1,7 +1,6 @@
 package kcore
 
 import (
-	"bytes"
 	"errors"
 	"math/rand/v2"
 	"sync"
@@ -43,7 +42,7 @@ func (g *churnGen) batch(size int) Batch {
 
 // TestEpochMatchesLocked is the quiesced differential for the epoch read
 // path: after every batch — across the sequential and wholesale-recompute
-// execution strategies and the traversal engine, with removals,
+// execution strategies and the treap order structure, with removals,
 // coalesced pairs, and vertex operations mixed in — every lock-free read
 // API must agree exactly with the authoritative maintained state that the
 // old RWMutex read path answered from. Engine.Validate holds the lock and
@@ -57,7 +56,7 @@ func TestEpochMatchesLocked(t *testing.T) {
 	}{
 		{"sequential", []Option{WithSeed(3), WithRebuildThreshold(-1, 0)}},
 		{"rebuild", []Option{WithSeed(3), WithRebuildThreshold(1, 0.0001)}},
-		{"traversal", []Option{WithSeed(3), WithAlgorithm(Traversal)}},
+		{"treap", []Option{WithSeed(3), WithOrderStructure(TreapOrder)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(tc.opts...)
@@ -159,9 +158,9 @@ func TestEpochAfterPanicRepair(t *testing.T) {
 	}
 }
 
-// TestEpochRoundTrip checks that restore paths publish an initial epoch:
-// an engine rebuilt via FromIndex or LoadIndex must answer reads
-// immediately and pass the epoch tripwire.
+// TestEpochRoundTrip checks that the restore path publishes an initial
+// epoch: an engine rebuilt via FromIndex must answer reads immediately and
+// pass the epoch tripwire.
 func TestEpochRoundTrip(t *testing.T) {
 	e := NewEngine(WithSeed(5))
 	gen := newChurnGen(17, 80)
@@ -182,19 +181,8 @@ func TestEpochRoundTrip(t *testing.T) {
 	if re.Seq() != e.Seq() || re.Degeneracy() != e.Degeneracy() {
 		t.Fatalf("FromIndex: seq/degeneracy mismatch")
 	}
-	var buf bytes.Buffer
-	if err := e.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	le, err := LoadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := le.Validate(); err != nil {
-		t.Fatalf("LoadIndex engine: %v", err)
-	}
-	if got, want := le.Cores(), e.Cores(); len(got) != len(want) {
-		t.Fatalf("LoadIndex cores len %d, want %d", len(got), len(want))
+	if got, want := re.Cores(), e.Cores(); len(got) != len(want) {
+		t.Fatalf("FromIndex cores len %d, want %d", len(got), len(want))
 	}
 }
 

@@ -5,12 +5,10 @@ import (
 
 	"kcore/internal/graph"
 	"kcore/internal/korder"
-
-	"kcore/internal/decomp"
 )
 
-// IndexState is the complete maintained state of an order-based engine at
-// one update sequence number: the edge set, the core numbers, and — the part
+// IndexState is the complete maintained state of an engine at one update
+// sequence number: the edge set, the core numbers, and — the part
 // a fresh decomposition cannot reproduce — the maintained k-order, which
 // depends on the engine's whole update history. Together with the engine
 // parameters that drive deterministic replay (seed, heuristic, order
@@ -38,25 +36,21 @@ type IndexState struct {
 	Structure OrderStructure
 }
 
-// FromIndex reconstructs an order-based engine from a captured IndexState.
-// The state is fully verified in O(m + n) before installation (see
-// korder.Restore): a corrupted or internally inconsistent state yields an
-// error, never a silently-wrong engine. The engine adopts the state's Seq,
-// Seed, Heuristic and Structure — replay determinism depends on them — while
-// other options (WithRebuildThreshold, ...) may be supplied as
-// opts.
+// FromIndex reconstructs an engine from a captured IndexState. The state is
+// fully verified in O(m + n) before installation (see korder.Restore): a
+// corrupted or internally inconsistent state, including an unknown
+// Heuristic or Structure value, yields an error, never a silently-wrong
+// engine. The engine adopts the state's Seq, Seed, Heuristic and
+// Structure — replay determinism depends on them — while other options
+// (WithRebuildThreshold, ...) may be supplied as opts.
 func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.algorithm != OrderBased {
-		return nil, fmt.Errorf("kcore: FromIndex supports only the order-based engine: %w",
-			ErrWrongEngine)
-	}
+	cfg := newConfig(opts)
 	cfg.seed = st.Seed
 	cfg.heuristic = st.Heuristic
 	cfg.structure = st.Structure
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("kcore: index state: %w", err)
+	}
 	if st.Vertices < 0 {
 		return nil, fmt.Errorf("kcore: index state: negative vertex count %d", st.Vertices)
 	}
@@ -76,15 +70,11 @@ func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 	copy(cores, st.Cores)
 	ord := make([]int, len(st.Order))
 	copy(ord, st.Order)
-	m, err := korder.Restore(g, cores, ord, korder.Options{
-		Heuristic: decomp.Heuristic(cfg.heuristic),
-		OrderKind: cfg.structure.kind(),
-		Seed:      cfg.seed,
-	})
+	m, err := korder.Restore(g, cores, ord, cfg.korderOptions())
 	if err != nil {
 		return nil, fmt.Errorf("kcore: %w", err)
 	}
-	e := &Engine{g: g, m: orderImpl{m}, cfg: cfg, seq: st.Seq}
+	e := &Engine{g: g, m: m, cfg: cfg, seq: st.Seq}
 	e.publishEpochFull()
 	return e, nil
 }

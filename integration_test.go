@@ -1,17 +1,19 @@
 package kcore_test
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"testing"
 
 	"kcore"
+	"kcore/internal/graph"
+	"kcore/internal/traversal"
 )
 
 // TestIntegrationLifecycle exercises the full public workflow end to end:
 // load a graph, maintain it through mixed churn, snapshot mid-stream,
-// restore, continue on both engines, and answer structural queries —
-// validating the maintained state against recomputation at every stage.
+// restore, continue beside the traversal baseline, and answer structural
+// queries — validating the maintained state against recomputation at every
+// stage.
 func TestIntegrationLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2026, 1))
 
@@ -43,7 +45,7 @@ func TestIntegrationLifecycle(t *testing.T) {
 	}
 
 	// Stage 2: churn, snapshotting halfway.
-	var snap bytes.Buffer
+	var snap *kcore.IndexState
 	edges := e.Edges()
 	for i, ed := range edges {
 		if i%3 == 0 {
@@ -52,9 +54,11 @@ func TestIntegrationLifecycle(t *testing.T) {
 			}
 		}
 		if i == len(edges)/2 {
-			if err := e.SaveIndex(&snap); err != nil {
+			st, err := e.View(kcore.WithIndex()).Index()
+			if err != nil {
 				t.Fatal(err)
 			}
+			snap = st
 		}
 	}
 	if err := e.Validate(); err != nil {
@@ -62,23 +66,22 @@ func TestIntegrationLifecycle(t *testing.T) {
 	}
 
 	// Stage 3: restore the snapshot and replay different updates; the
-	// restored engine must stay valid and agree with a traversal engine
-	// fed the same state.
-	r, err := kcore.LoadIndex(&snap)
+	// restored engine must stay valid and agree with the traversal
+	// baseline fed the same state.
+	r, err := kcore.FromIndex(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatalf("restored: %v", err)
 	}
-	var dump bytes.Buffer
-	if err := r.Save(&dump); err != nil {
-		t.Fatal(err)
+	g := graph.New(r.NumVertices())
+	for _, ed := range r.Edges() {
+		if err := g.AddEdge(ed[0], ed[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tr, err := kcore.Load(&dump, kcore.WithAlgorithm(kcore.Traversal))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := traversal.New(g, 2)
 	for step := 0; step < 150; step++ {
 		u, v := rng.IntN(groups*size), rng.IntN(groups*size)
 		if u == v {
@@ -88,14 +91,14 @@ func TestIntegrationLifecycle(t *testing.T) {
 			if _, err := r.RemoveEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tr.RemoveEdge(u, v); err != nil {
+			if _, err := tr.Remove(u, v); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			if _, err := r.AddEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tr.AddEdge(u, v); err != nil {
+			if _, err := tr.Insert(u, v); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,22 +1,18 @@
 package korder
 
 import (
-	"bytes"
 	"math/rand/v2"
-	"strings"
 	"testing"
 
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 )
 
-func snapshotRoundTrip(t *testing.T, m *Maintainer) *Maintainer {
+// restoreCopy rebuilds m's maintained state through Restore on a copy of
+// its graph, the way the engine's FromIndex installs a decoded snapshot.
+func restoreCopy(t *testing.T, m *Maintainer) *Maintainer {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := LoadSnapshot(&buf, m.opts)
+	m2, err := Restore(m.Graph().Clone(), m.Cores(), m.Order(), m.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +30,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			mustInsert(t, m, u, v)
 		}
 	}
-	m2 := snapshotRoundTrip(t, m)
+	m2 := restoreCopy(t, m)
 	if err := m2.CheckInvariants(); err != nil {
 		t.Fatalf("restored invariants: %v", err)
 	}
@@ -66,7 +62,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotEmpty(t *testing.T) {
 	m := New(graph.New(0), Options{})
-	m2 := snapshotRoundTrip(t, m)
+	m2 := restoreCopy(t, m)
 	if m2.Graph().NumVertices() != 0 {
 		t.Fatal("restored empty graph not empty")
 	}
@@ -76,60 +72,44 @@ func TestSnapshotEmpty(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsCorruption: Restore must refuse a claimed state whose
+// sizes or core numbers do not describe the graph, in either direction.
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	g := graph.New(4)
 	m := New(g, Options{Seed: 1})
 	mustInsert(t, m, 0, 1)
 	mustInsert(t, m, 1, 2)
 	mustInsert(t, m, 0, 2)
-	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Truncations at every prefix length must error, not panic.
-	for cut := 0; cut < len(good); cut += 7 {
-		if _, err := LoadSnapshot(bytes.NewReader(good[:cut]), Options{}); err == nil {
-			t.Fatalf("truncated snapshot (%d bytes) accepted", cut)
+	mustInsert(t, m, 2, 3)
+	cores, ord := m.Cores(), m.Order()
+	for name, tc := range map[string]struct {
+		edit func(core, ord []int) ([]int, []int)
+	}{
+		"short cores":   {func(c, o []int) ([]int, []int) { return c[:3], o }},
+		"short order":   {func(c, o []int) ([]int, []int) { return c, o[:3] }},
+		"negative core": {func(c, o []int) ([]int, []int) { c[3] = -1; return c, o }},
+		// Vertex 3 has one neighbor: core 2 fails the strong-neighbor bound.
+		"inflated core": {func(c, o []int) ([]int, []int) { c[3] = 2; return c, o }},
+		// A triangle vertex at core 1 breaks the peeling-order bound.
+		"deflated core": {func(c, o []int) ([]int, []int) { c[0] = 1; return c, o }},
+	} {
+		c, o := tc.edit(append([]int(nil), cores...), append([]int(nil), ord...))
+		if _, err := Restore(g.Clone(), c, o, Options{}); err == nil {
+			t.Errorf("%s: corrupted state accepted", name)
 		}
-	}
-	// Bad magic.
-	bad := append([]byte("NOTMAGIC"), good[8:]...)
-	if _, err := LoadSnapshot(bytes.NewReader(bad), Options{}); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	// Corrupt a core value: flip the core bytes region. Core section
-	// starts after magic(8)+version(4)+n,m(16)+edges(2m*4).
-	corrupt := append([]byte(nil), good...)
-	coreOff := 8 + 4 + 16 + 2*3*4
-	corrupt[coreOff] = 99
-	if _, err := LoadSnapshot(bytes.NewReader(corrupt), Options{}); err == nil {
-		t.Fatal("corrupted core value accepted")
-	}
-	if _, err := LoadSnapshot(strings.NewReader(""), Options{}); err == nil {
-		t.Fatal("empty input accepted")
 	}
 }
 
 func TestSnapshotRejectsWrongOrder(t *testing.T) {
-	// Build a snapshot by hand with a non-monotone order: must be rejected.
+	// A claimed order that is not a permutation must be rejected.
 	g := graph.New(3)
 	m := New(g, Options{Seed: 1})
 	mustInsert(t, m, 0, 1)
 	mustInsert(t, m, 1, 2)
 	mustInsert(t, m, 0, 2)
-	var buf bytes.Buffer
-	if err := m.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	// Order section = last n*4 bytes. Swap two entries so the claimed
-	// peeling order breaks deg+ <= core (a triangle has a unique level).
-	// Instead corrupt the permutation: duplicate the first order entry.
-	orderOff := len(raw) - 3*4
-	copy(raw[orderOff+4:orderOff+8], raw[orderOff:orderOff+4])
-	if _, err := LoadSnapshot(bytes.NewReader(raw), Options{}); err == nil {
+	ord := m.Order()
+	ord[1] = ord[0]
+	if _, err := Restore(g.Clone(), m.Cores(), ord, Options{}); err == nil {
 		t.Fatal("non-permutation order accepted")
 	}
 }

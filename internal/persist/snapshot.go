@@ -125,6 +125,15 @@ func DecodeSnapshot(data []byte) (*kcore.IndexState, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (have %08x, recorded %08x)",
 			ErrCorruptSnapshot, sum, trailer)
 	}
+	// A CRC-valid header can still carry an enumeration value no engine
+	// defines (a forged or future file); FromIndex would refuse it too, but
+	// the decoder's contract is an in-range state.
+	if data[12] > byte(kcore.RandomDegPlusFirst) {
+		return nil, fmt.Errorf("%w: unknown heuristic %d", ErrCorruptSnapshot, data[12])
+	}
+	if data[13] > byte(kcore.TagOrder) {
+		return nil, fmt.Errorf("%w: unknown order structure %d", ErrCorruptSnapshot, data[13])
+	}
 	st := &kcore.IndexState{
 		Heuristic: kcore.Heuristic(data[12]),
 		Structure: kcore.OrderStructure(data[13]),

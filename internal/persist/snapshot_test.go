@@ -230,13 +230,29 @@ func TestEncodeRejectsInvalidEdges(t *testing.T) {
 	}
 }
 
-func TestSaveRequiresOrderEngine(t *testing.T) {
-	e, err := kcore.FromEdges([][2]int{{0, 1}}, kcore.WithAlgorithm(kcore.Traversal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(filepath.Join(t.TempDir(), "x"), e); !errors.Is(err, kcore.ErrWrongEngine) {
-		t.Fatalf("Save on traversal engine: err = %v, want ErrWrongEngine", err)
+// TestSnapshotRejectsUnknownEnums: a CRC-valid snapshot whose heuristic or
+// order-structure byte names no defined value is corrupt. An unknown
+// heuristic used to load and then stall the engine's first wholesale
+// recomputation forever.
+func TestSnapshotRejectsUnknownEnums(t *testing.T) {
+	st := stateOf(t, testEngine(t))
+	for name, edit := range map[string]func(*kcore.IndexState){
+		"heuristic 3": func(s *kcore.IndexState) { s.Heuristic = 3 },
+		"heuristic 7": func(s *kcore.IndexState) { s.Heuristic = 7 },
+		"structure 2": func(s *kcore.IndexState) { s.Structure = 2 },
+	} {
+		forged := *st
+		edit(&forged)
+		data, err := EncodeSnapshot(&forged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(data); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("%s: DecodeSnapshot err = %v, want ErrCorruptSnapshot", name, err)
+		}
+		if _, err := Load(writeTemp(t, data)); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Errorf("%s: Load err = %v, want ErrCorruptSnapshot", name, err)
+		}
 	}
 }
 

@@ -430,7 +430,7 @@ func (s *Server) handleStats(ts *tenantServing, w http.ResponseWriter, r *http.R
 		Edges:      edges,
 		Degeneracy: degeneracy,
 		Seq:        seq,
-		Algorithm:  eng.Algorithm().String(),
+		Algorithm:  "order-based",
 		Watchers:   int(ts.watchers.Load()),
 		Exec: wire.ExecStats{
 			Sequential: ex.Sequential,

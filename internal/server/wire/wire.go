@@ -417,7 +417,9 @@ type SnapshotResponse struct {
 	Warning string `json:"warning,omitempty"`
 }
 
-// StatsResponse is the body of GET /v1/stats.
+// StatsResponse is the body of GET /v1/stats. Algorithm is always
+// "order-based": the engine has one maintenance algorithm, and the field is
+// kept on the wire for client compatibility.
 type StatsResponse struct {
 	// Tenant names the graph these stats describe ("default" on the legacy
 	// unscoped route).

@@ -4,11 +4,13 @@
 // of the updated edge, instead of recomputing the decomposition from
 // scratch.
 //
-// The default engine implements the order-based core-maintenance algorithms
+// The engine implements the order-based core-maintenance algorithms
 // (OrderInsert / OrderRemoval) of Zhang, Yu, Zhang and Qin, "A Fast
 // Order-Based Approach for Core Maintenance" (ICDE 2017). The traversal
-// algorithm of Sariyüce et al. (PVLDB 2013 / VLDBJ 2016) is available as an
-// alternative for comparison.
+// algorithm of Sariyüce et al. (PVLDB 2013 / VLDBJ 2016) is not an engine
+// option: it is the paper's comparison baseline, kept in internal/traversal
+// as an ablation for the benchmark harness (cmd/kcore-bench) and as a test
+// oracle.
 //
 // # Quick start
 //
@@ -43,9 +45,9 @@
 //     (vertex, old core, new core, update sequence number) so streaming
 //     consumers stop polling Cores.
 //   - Structured errors: mutations wrap the sentinel errors ErrSelfLoop,
-//     ErrDuplicateEdge, ErrMissingEdge, ErrVertexRange and ErrWrongEngine,
-//     so callers branch with errors.Is; batch failures additionally carry
-//     the offending position via *BatchError.
+//     ErrDuplicateEdge, ErrMissingEdge and ErrVertexRange, so callers
+//     branch with errors.Is; batch failures additionally carry the
+//     offending position via *BatchError.
 //
 // For durability, the engine exposes a persistence seam rather than a
 // persistence layer: SetApplyHook observes every applied batch under the
@@ -67,32 +69,9 @@ import (
 	"kcore/internal/graph"
 	"kcore/internal/korder"
 	"kcore/internal/order"
-	"kcore/internal/traversal"
 )
 
-// Algorithm selects the maintenance algorithm.
-type Algorithm int
-
-const (
-	// OrderBased is the paper's order-based algorithm (recommended).
-	OrderBased Algorithm = iota
-	// Traversal is the Sariyüce et al. baseline.
-	Traversal
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case OrderBased:
-		return "order-based"
-	case Traversal:
-		return "traversal"
-	default:
-		return "unknown"
-	}
-}
-
-// Heuristic selects the initial k-order generation rule (order-based only).
+// Heuristic selects the initial k-order generation rule.
 type Heuristic int
 
 const (
@@ -104,9 +83,9 @@ const (
 	RandomDegPlusFirst
 )
 
-// OrderStructure selects the per-level order representation (order-based
-// engine only). The numeric values are persisted in snapshots and never
-// change: TreapOrder is 0 and TagOrder is 1.
+// OrderStructure selects the per-level order representation. The numeric
+// values are persisted in snapshots and never change: TreapOrder is 0 and
+// TagOrder is 1.
 type OrderStructure int
 
 const (
@@ -128,10 +107,8 @@ func (s OrderStructure) kind() order.Kind {
 }
 
 type config struct {
-	algorithm    Algorithm
 	heuristic    Heuristic
 	structure    OrderStructure
-	hops         int
 	seed         uint64
 	rebuildFloor int
 	rebuildFrac  float64
@@ -145,29 +122,49 @@ const (
 	defaultRebuildFrac  = 0.15
 )
 
-func defaultConfig() config {
-	return config{structure: TagOrder, hops: 2, seed: 1,
+// newConfig applies opts over the defaults.
+func newConfig(opts []Option) config {
+	cfg := config{structure: TagOrder, seed: 1,
 		rebuildFloor: defaultRebuildFloor, rebuildFrac: defaultRebuildFrac}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// validate rejects enumeration values outside their defined range. They
+// reach the engine from options and from decoded snapshots, and an unknown
+// heuristic would stall every k-order generation.
+func (c config) validate() error {
+	if c.heuristic < SmallDegPlusFirst || c.heuristic > RandomDegPlusFirst {
+		return fmt.Errorf("kcore: unknown heuristic %d", c.heuristic)
+	}
+	if c.structure != TreapOrder && c.structure != TagOrder {
+		return fmt.Errorf("kcore: unknown order structure %d", c.structure)
+	}
+	return nil
+}
+
+// korderOptions maps the configuration onto the maintainer's options.
+func (c config) korderOptions() korder.Options {
+	return korder.Options{
+		Heuristic: decomp.Heuristic(c.heuristic),
+		OrderKind: c.structure.kind(),
+		Seed:      c.seed,
+	}
 }
 
 // Option configures an Engine.
 type Option func(*config)
 
-// WithAlgorithm selects the maintenance algorithm (default OrderBased).
-func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.algorithm = a } }
-
 // WithHeuristic selects the initial k-order heuristic (default
-// SmallDegPlusFirst; order-based engine only).
+// SmallDegPlusFirst).
 func WithHeuristic(h Heuristic) Option { return func(c *config) { c.heuristic = h } }
 
-// WithOrderStructure selects the order representation (default TagOrder;
-// order-based engine only). TreapOrder selects the paper's order-statistics
-// tree as an ablation; both give identical cores and k-orders.
+// WithOrderStructure selects the order representation (default TagOrder).
+// TreapOrder selects the paper's order-statistics tree as an ablation; both
+// give identical cores and k-orders.
 func WithOrderStructure(s OrderStructure) Option { return func(c *config) { c.structure = s } }
-
-// WithTraversalHops sets h for the traversal engine (default 2; ignored by
-// the order-based engine).
-func WithTraversalHops(h int) Option { return func(c *config) { c.hops = h } }
 
 // WithSeed makes all internal randomization deterministic (default 1).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
@@ -180,13 +177,13 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 // hardware. The option is kept so existing callers still compile.
 func WithWorkers(n int) Option { return func(*config) {} }
 
-// WithRebuildThreshold tunes the maintain-vs-recompute cost model
-// (order-based engine only): a batch whose surviving update count is at
-// least floor and at least fraction*(m+n) of the post-batch graph is
-// applied by one wholesale O(m + n) recomputation instead of per-update
-// maintenance, which is much faster but coarsens the result — see
-// BatchInfo.Recomputed. floor < 0 disables recomputation entirely.
-// Defaults: floor 256, fraction 0.15 (measured; see EXPERIMENTS.md).
+// WithRebuildThreshold tunes the maintain-vs-recompute cost model: a batch
+// whose surviving update count is at least floor and at least
+// fraction*(m+n) of the post-batch graph is applied by one wholesale
+// O(m + n) recomputation instead of per-update maintenance, which is much
+// faster but coarsens the result — see BatchInfo.Recomputed. floor < 0
+// disables recomputation entirely. Defaults: floor 256, fraction 0.15
+// (measured; see EXPERIMENTS.md).
 func WithRebuildThreshold(floor int, fraction float64) Option {
 	return func(c *config) {
 		c.rebuildFloor = floor
@@ -205,8 +202,8 @@ type UpdateInfo struct {
 	// (BatchInfo.Recomputed), the aggregated CoreChanged instead lists the
 	// net-changed vertices in ascending order.
 	//
-	// The slice is owned by the caller: unlike the internal maintainers'
-	// pooled buffers, it never aliases engine scratch, so it stays valid
+	// The slice is owned by the caller: unlike the maintainer's pooled
+	// buffers, it never aliases engine scratch, so it stays valid
 	// indefinitely and across later updates.
 	CoreChanged []int
 	// Visited is the number of vertices the algorithm examined to find
@@ -218,40 +215,6 @@ type UpdateInfo struct {
 	Coalesced bool
 }
 
-// maintainer abstracts the two algorithm implementations.
-type maintainer interface {
-	Insert(u, v int) (changed []int, visited int, err error)
-	Remove(u, v int) (changed []int, visited int, err error)
-	Core(v int) int
-	Cores() []int
-}
-
-type orderImpl struct{ m *korder.Maintainer }
-
-func (o orderImpl) Insert(u, v int) ([]int, int, error) {
-	r, err := o.m.Insert(u, v)
-	return r.Changed, r.Visited, err
-}
-func (o orderImpl) Remove(u, v int) ([]int, int, error) {
-	r, err := o.m.Remove(u, v)
-	return r.Changed, r.Visited, err
-}
-func (o orderImpl) Core(v int) int { return o.m.Core(v) }
-func (o orderImpl) Cores() []int   { return o.m.Cores() }
-
-type travImpl struct{ m *traversal.Maintainer }
-
-func (t travImpl) Insert(u, v int) ([]int, int, error) {
-	r, err := t.m.Insert(u, v)
-	return r.Changed, r.Visited, err
-}
-func (t travImpl) Remove(u, v int) ([]int, int, error) {
-	r, err := t.m.Remove(u, v)
-	return r.Changed, r.Visited, err
-}
-func (t travImpl) Core(v int) int { return t.m.Core(v) }
-func (t travImpl) Cores() []int   { return t.m.Cores() }
-
 // Engine is a dynamic k-core decomposition engine. It is safe for
 // concurrent use by multiple goroutines: mutations (Apply, AddEdge, ...)
 // serialize behind a write lock; queries over the maintained read-state
@@ -261,7 +224,7 @@ func (t travImpl) Cores() []int   { return t.m.Cores() }
 type Engine struct {
 	mu  sync.RWMutex
 	g   *graph.Undirected
-	m   maintainer
+	m   *korder.Maintainer
 	cfg config
 	seq uint64 // updates applied over the engine's lifetime; guarded by mu
 
@@ -307,11 +270,12 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine. Vertices are dense non-negative
-// integers created implicitly by AddEdge/AddVertex.
+// integers created implicitly by AddEdge/AddVertex. It panics on an
+// unknown WithHeuristic or WithOrderStructure value, which FromEdges
+// reports as an error instead.
 func NewEngine(opts ...Option) *Engine {
 	e, err := FromEdges(nil, opts...)
 	if err != nil {
-		// Unreachable: an empty edge set cannot fail.
 		panic(err)
 	}
 	return e
@@ -321,9 +285,9 @@ func NewEngine(opts ...Option) *Engine {
 // loops are rejected). Building from a batch is much faster than inserting
 // edges one by one: the initial decomposition runs in O(m + n).
 func FromEdges(edges [][2]int, opts ...Option) (*Engine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
+	cfg := newConfig(opts)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	g := &graph.Undirected{}
 	for _, e := range edges {
@@ -331,47 +295,30 @@ func FromEdges(edges [][2]int, opts ...Option) (*Engine, error) {
 			return nil, fmt.Errorf("kcore: edge (%d,%d): %w", e[0], e[1], err)
 		}
 	}
-	return fromGraph(g, cfg)
+	return fromGraph(g, cfg), nil
 }
 
 // Load builds an engine from a whitespace-separated edge list ("u v" per
 // line; '#' and '%' comments allowed; duplicate edges and self loops are
 // skipped).
 func Load(r io.Reader, opts ...Option) (*Engine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
+	cfg := newConfig(opts)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	g, err := graph.ReadEdgeList(r)
 	if err != nil {
 		return nil, fmt.Errorf("kcore: %w", err)
 	}
-	return fromGraph(g, cfg)
+	return fromGraph(g, cfg), nil
 }
 
-func fromGraph(g *graph.Undirected, cfg config) (*Engine, error) {
-	e := &Engine{g: g, cfg: cfg}
-	switch cfg.algorithm {
-	case OrderBased:
-		e.m = orderImpl{korder.New(g, korder.Options{
-			Heuristic: decomp.Heuristic(cfg.heuristic),
-			OrderKind: cfg.structure.kind(),
-			Seed:      cfg.seed,
-		})}
-	case Traversal:
-		if cfg.hops < 2 {
-			return nil, fmt.Errorf("kcore: traversal hops must be >= 2, got %d", cfg.hops)
-		}
-		e.m = travImpl{traversal.New(g, cfg.hops)}
-	default:
-		return nil, fmt.Errorf("kcore: unknown algorithm %d", cfg.algorithm)
-	}
+// fromGraph builds the engine around g from a validated configuration.
+func fromGraph(g *graph.Undirected, cfg config) *Engine {
+	e := &Engine{g: g, m: korder.New(g, cfg.korderOptions()), cfg: cfg}
 	e.publishEpochFull()
-	return e, nil
+	return e
 }
-
-// Algorithm reports the engine's maintenance algorithm.
-func (e *Engine) Algorithm() Algorithm { return e.cfg.algorithm }
 
 // ExecStats counts, over the engine's lifetime, how many applied updates
 // went through each batch execution mode: per-update order-based
@@ -438,8 +385,13 @@ func batchCause(err error) error {
 // neighbors (the paper's vertex insertion, simulated as a batch of edge
 // insertions applied under one write-lock acquisition) and returns its id
 // along with the deduplicated union of core changes. On invalid input
-// (duplicate or negative neighbors) nothing is applied.
+// (no, duplicate or negative neighbors) nothing is applied. An isolated
+// vertex is never created on its own: vertices exist only through the
+// updates that reach the sequence number and the apply hook.
 func (e *Engine) AddVertexWithEdges(neighbors []int) (int, UpdateInfo, error) {
+	if len(neighbors) == 0 {
+		return 0, UpdateInfo{}, fmt.Errorf("kcore: AddVertexWithEdges needs at least one neighbor")
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	v := e.g.NumVertices()
@@ -582,19 +534,12 @@ func (e *Engine) CoreComponents(k int) [][]int {
 
 // GreedyColoring colors the graph greedily along the maintained degeneracy
 // order, guaranteeing at most Degeneracy()+1 colors (the classic k-core
-// application to coloring). Only the order-based engine maintains an order;
-// other engines compute one on the fly. Returns per-vertex colors and the
-// number of colors used.
+// application to coloring). Returns per-vertex colors and the number of
+// colors used.
 func (e *Engine) GreedyColoring() ([]int, int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var ord []int
-	if impl, ok := e.m.(orderImpl); ok {
-		ord = impl.m.Order()
-	} else {
-		ord = decomp.KOrder(e.g, decomp.SmallDegPlusFirst, e.cfg.seed).Order
-	}
-	return decomp.GreedyColorByOrder(e.g, ord)
+	return decomp.GreedyColorByOrder(e.g, e.m.Order())
 }
 
 // Edges returns all current edges with u < v.
@@ -611,45 +556,6 @@ func (e *Engine) Save(w io.Writer) error {
 	return graph.WriteEdgeList(w, e.g)
 }
 
-// SaveIndex serializes the full maintained index (graph, core numbers, and
-// k-order) so a later LoadIndex can resume without recomputing — and, more
-// importantly, with the exact same maintained order. Only the order-based
-// engine supports snapshots; others get an error wrapping ErrWrongEngine.
-func (e *Engine) SaveIndex(w io.Writer) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	impl, ok := e.m.(orderImpl)
-	if !ok {
-		return fmt.Errorf("kcore: SaveIndex requires the order-based engine (have %s): %w",
-			e.cfg.algorithm, ErrWrongEngine)
-	}
-	return impl.m.WriteSnapshot(w)
-}
-
-// LoadIndex restores an order-based engine from a SaveIndex snapshot,
-// verifying its integrity in O(m + n).
-func LoadIndex(r io.Reader, opts ...Option) (*Engine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.algorithm != OrderBased {
-		return nil, fmt.Errorf("kcore: LoadIndex supports only the order-based engine: %w",
-			ErrWrongEngine)
-	}
-	m, err := korder.LoadSnapshot(r, korder.Options{
-		Heuristic: decomp.Heuristic(cfg.heuristic),
-		OrderKind: cfg.structure.kind(),
-		Seed:      cfg.seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("kcore: %w", err)
-	}
-	e := &Engine{g: m.Graph(), m: orderImpl{m}, cfg: cfg}
-	e.publishEpochFull()
-	return e, nil
-}
-
 // Validate checks the maintained state against a from-scratch
 // recomputation. It is intended for tests and debugging; cost is
 // O((m+n) log n).
@@ -659,14 +565,7 @@ func (e *Engine) Validate() error {
 	if err := e.validateEpochLocked(); err != nil {
 		return err
 	}
-	switch impl := e.m.(type) {
-	case orderImpl:
-		return impl.m.CheckInvariants()
-	case travImpl:
-		return impl.m.CheckInvariants()
-	default:
-		return fmt.Errorf("kcore: unknown engine implementation")
-	}
+	return e.m.CheckInvariants()
 }
 
 // validateEpochLocked checks the published epoch against the authoritative

@@ -6,6 +6,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"kcore/internal/graph"
+	"kcore/internal/order"
+	"kcore/internal/traversal"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -81,10 +85,12 @@ func TestLoadAndSave(t *testing.T) {
 	}
 }
 
+// TestAlgorithmsAgree differentially checks the engine against the
+// traversal baseline (internal/traversal) fed the same updates.
 func TestAlgorithmsAgree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	ord := NewEngine(WithAlgorithm(OrderBased), WithSeed(5))
-	trv := NewEngine(WithAlgorithm(Traversal), WithTraversalHops(3))
+	ord := NewEngine(WithSeed(5))
+	trv := traversal.New(graph.New(0), 3)
 	const n = 25
 	for step := 0; step < 300; step++ {
 		u, v := rng.IntN(n), rng.IntN(n)
@@ -95,14 +101,14 @@ func TestAlgorithmsAgree(t *testing.T) {
 			if _, err := ord.RemoveEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := trv.RemoveEdge(u, v); err != nil {
+			if _, err := trv.Remove(u, v); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			if _, err := ord.AddEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := trv.AddEdge(u, v); err != nil {
+			if _, err := trv.Insert(u, v); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -116,7 +122,7 @@ func TestAlgorithmsAgree(t *testing.T) {
 	if err := ord.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := trv.Validate(); err != nil {
+	if err := trv.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,18 +142,52 @@ func TestOptionCombos(t *testing.T) {
 			}
 		}
 	}
-	if _, err := FromEdges(nil, WithAlgorithm(Traversal), WithTraversalHops(1)); err == nil {
-		t.Fatal("hops=1 should fail")
-	}
-	if _, err := FromEdges(nil, WithAlgorithm(Algorithm(9))); err == nil {
-		t.Fatal("unknown algorithm should fail")
-	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	if OrderBased.String() != "order-based" || Traversal.String() != "traversal" ||
-		Algorithm(7).String() != "unknown" {
-		t.Fatal("Algorithm.String broken")
+// TestUnknownEnumsRejected: an out-of-range heuristic or order structure
+// must be refused at construction, from options or from a restored state.
+// An unknown heuristic used to be accepted and then stalled k-order
+// generation forever, under the write lock, on the first rebuild-sized
+// batch or panic repair.
+func TestUnknownEnumsRejected(t *testing.T) {
+	for name, opt := range map[string]Option{
+		"heuristic 7":  WithHeuristic(7),
+		"heuristic -1": WithHeuristic(-1),
+		"structure 2":  WithOrderStructure(2),
+	} {
+		if _, err := FromEdges(nil, opt); err == nil {
+			t.Errorf("FromEdges with %s accepted", name)
+		}
+		if _, err := Load(strings.NewReader(""), opt); err == nil {
+			t.Errorf("Load with %s accepted", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewEngine with %s did not panic", name)
+				}
+			}()
+			NewEngine(opt)
+		}()
+	}
+
+	e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.View(WithIndex()).Index()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *st
+	bad.Heuristic = 7
+	if _, err := FromIndex(&bad); err == nil {
+		t.Error("FromIndex accepted heuristic 7")
+	}
+	bad = *st
+	bad.Structure = 5
+	if _, err := FromIndex(&bad); err == nil {
+		t.Error("FromIndex accepted structure 5")
 	}
 }
 
@@ -155,9 +195,6 @@ func TestQueries(t *testing.T) {
 	e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.Algorithm() != OrderBased {
-		t.Fatal("default algorithm should be order-based")
 	}
 	if !e.HasEdge(0, 1) || e.HasEdge(0, 3) {
 		t.Fatal("HasEdge wrong")
@@ -285,8 +322,8 @@ func TestCommunityQueries(t *testing.T) {
 }
 
 func TestGreedyColoring(t *testing.T) {
-	for _, alg := range []Algorithm{OrderBased, Traversal} {
-		e := NewEngine(WithAlgorithm(alg), WithSeed(3))
+	for _, s := range []OrderStructure{TagOrder, TreapOrder} {
+		e := NewEngine(WithOrderStructure(s), WithSeed(3))
 		// K4 needs exactly 4 colors.
 		for i := 0; i < 4; i++ {
 			for j := i + 1; j < 4; j++ {
@@ -296,17 +333,17 @@ func TestGreedyColoring(t *testing.T) {
 		mustAdd(t, e, 3, 4) // pendant
 		colors, k := e.GreedyColoring()
 		if k != 4 {
-			t.Fatalf("%v: colors=%d want 4", alg, k)
+			t.Fatalf("%v: colors=%d want 4", s, k)
 		}
 		for u := 0; u < 4; u++ {
 			for v := u + 1; v < 4; v++ {
 				if colors[u] == colors[v] {
-					t.Fatalf("%v: K4 coloring improper", alg)
+					t.Fatalf("%v: K4 coloring improper", s)
 				}
 			}
 		}
 		if colors[4] == colors[3] {
-			t.Fatalf("%v: pendant conflicts", alg)
+			t.Fatalf("%v: pendant conflicts", s)
 		}
 	}
 }
@@ -316,11 +353,11 @@ func TestSaveLoadIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e.SaveIndex(&buf); err != nil {
+	st, err := e.View(WithIndex()).Index()
+	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := LoadIndex(&buf)
+	e2, err := FromIndex(st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,15 +373,14 @@ func TestSaveLoadIndex(t *testing.T) {
 	if err := e2.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Traversal engines do not support snapshots.
-	tr := NewEngine(WithAlgorithm(Traversal))
-	if err := tr.SaveIndex(&bytes.Buffer{}); err == nil {
-		t.Fatal("traversal SaveIndex should fail")
+	// A default View captures no index, and a state whose cores do not
+	// describe its edges is refused.
+	if _, err := e.View().Index(); err == nil {
+		t.Fatal("Index without WithIndex should fail")
 	}
-	if _, err := LoadIndex(strings.NewReader("junk"), WithAlgorithm(Traversal)); err == nil {
-		t.Fatal("LoadIndex with traversal should fail")
-	}
-	if _, err := LoadIndex(strings.NewReader("junk")); err == nil {
+	junk := *st
+	junk.Cores = []int{3, 3, 3, 3, 3}
+	if _, err := FromIndex(&junk); err == nil {
 		t.Fatal("junk index should fail")
 	}
 }
@@ -355,13 +391,16 @@ func TestSnapshotWithTagOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := LoadIndex(&buf, WithOrderStructure(TagOrder), WithSeed(4))
+	st, err := e.View(WithIndex()).Index()
 	if err != nil {
 		t.Fatal(err)
+	}
+	e2, err := FromIndex(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if OrderKindOf(e2) != order.KindTagList {
+		t.Fatalf("restored onto %v, want the tag list", OrderKindOf(e2))
 	}
 	if _, err := e2.AddEdge(0, 3); err != nil {
 		t.Fatal(err)
@@ -401,6 +440,16 @@ func TestVertexOps(t *testing.T) {
 	// Duplicate neighbor in the list fails atomically (nothing applied).
 	if _, _, err := e.AddVertexWithEdges([]int{0, 0}); err == nil {
 		t.Fatal("duplicate neighbor should fail")
+	}
+	// An empty neighbor list is refused: it used to return a "fresh" id
+	// without creating the vertex, so the next call returned the same id.
+	seq, n := e.Seq(), e.NumVertices()
+	if _, _, err := e.AddVertexWithEdges(nil); err == nil {
+		t.Fatal("empty neighbor list should fail")
+	}
+	if e.Seq() != seq || e.NumVertices() != n {
+		t.Fatalf("empty AddVertexWithEdges moved the engine: seq %d->%d, n %d->%d",
+			seq, e.Seq(), n, e.NumVertices())
 	}
 	if _, err := e.RemoveVertex(3); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 func TestApplyProbePanicQuarantinesCleanly(t *testing.T) {
 	for _, opts := range [][]Option{
 		{WithSeed(1)},
-		{WithAlgorithm(Traversal)},
+		{WithOrderStructure(TreapOrder)},
 	} {
 		e := NewEngine(opts...)
 		if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {

@@ -24,8 +24,8 @@ func (e *Engine) shouldRebuild(applied, adds, removes int) bool {
 // graph directly, then reseed the maintainer from one static O(m + n)
 // decomposition. Per-update attribution is lost — see BatchInfo.Recomputed
 // for the coarsened result semantics.
-func (e *Engine) applyRebuild(impl orderImpl, batch Batch, skip []bool, coalesced int) (BatchInfo, error) {
-	m := impl.m
+func (e *Engine) applyRebuild(batch Batch, skip []bool, coalesced int) (BatchInfo, error) {
+	m := e.m
 	oldCores := m.Cores()
 	info := BatchInfo{Coalesced: coalesced, Recomputed: true}
 	for i, up := range batch {

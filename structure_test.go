@@ -199,25 +199,23 @@ func TestOrderStructurePersisted(t *testing.T) {
 		t.Fatalf("TagOrder snapshot loaded onto %v", k)
 	}
 
-	// The korder index snapshot records no structure: the loading
-	// engine's option decides, the tag list by default.
+	// FromIndex installs the structure the state records, whatever the
+	// options say.
 	for _, c := range []struct {
-		opts []kcore.Option
-		want order.Kind
+		structure, option kcore.OrderStructure
+		want              order.Kind
 	}{
-		{nil, order.KindTagList},
-		{[]kcore.Option{kcore.WithOrderStructure(kcore.TreapOrder)}, order.KindTreap},
+		{kcore.TagOrder, kcore.TreapOrder, order.KindTagList},
+		{kcore.TreapOrder, kcore.TagOrder, order.KindTreap},
 	} {
-		var buf bytes.Buffer
-		if err := def.SaveIndex(&buf); err != nil {
-			t.Fatal(err)
-		}
-		re, err := kcore.LoadIndex(&buf, c.opts...)
+		cs := *st
+		cs.Structure = c.structure
+		re, err := kcore.FromIndex(&cs, kcore.WithOrderStructure(c.option))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if k := kcore.OrderKindOf(re); k != c.want {
-			t.Fatalf("LoadIndex onto %v, want %v", k, c.want)
+			t.Fatalf("FromIndex onto %v, want %v", k, c.want)
 		}
 	}
 }

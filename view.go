@@ -1,6 +1,6 @@
 package kcore
 
-import "fmt"
+import "errors"
 
 // View is an immutable, internally consistent snapshot of the engine's
 // maintained state: core numbers, degeneracy, and graph size, all captured
@@ -35,8 +35,7 @@ type viewConfig struct{ index bool }
 // mutated in place, so unlike the core snapshot they cannot be read without
 // the lock); it is how the durable snapshot writer (internal/persist)
 // observes a consistent state without blocking writers while the file is
-// written. Order-based engines only: on other engines the View is still
-// valid but Index returns an error.
+// written.
 func WithIndex() ViewOption { return func(c *viewConfig) { c.index = true } }
 
 // View captures a consistent snapshot of the current state. The default
@@ -54,31 +53,25 @@ func (e *Engine) View(opts ...ViewOption) *View {
 	defer e.mu.RUnlock()
 	// Under the read lock no publication is in flight, so the current
 	// epoch describes exactly the state the index capture walks.
-	v := &View{ep: e.loadEpoch()}
-	if impl, ok := e.m.(orderImpl); ok {
-		v.index = &IndexState{
-			Seq:       e.seq,
-			Vertices:  e.g.NumVertices(),
-			Edges:     e.g.Edges(),
-			Cores:     e.m.Cores(),
-			Order:     impl.m.Order(),
-			Seed:      e.cfg.seed,
-			Heuristic: e.cfg.heuristic,
-			Structure: e.cfg.structure,
-		}
-	}
-	return v
+	return &View{ep: e.loadEpoch(), index: &IndexState{
+		Seq:       e.seq,
+		Vertices:  e.g.NumVertices(),
+		Edges:     e.g.Edges(),
+		Cores:     e.m.Cores(),
+		Order:     e.m.Order(),
+		Seed:      e.cfg.seed,
+		Heuristic: e.cfg.heuristic,
+		Structure: e.cfg.structure,
+	}}
 }
 
 // Index returns the complete maintained state captured at View time, for
 // serialization by a persistence layer. It requires the View to have been
-// taken with WithIndex on an order-based engine; otherwise the error wraps
-// ErrWrongEngine. The returned state shares the View's internal slices —
-// callers must treat it as read-only.
+// taken with WithIndex; otherwise it returns an error. The returned state
+// shares the View's internal slices — callers must treat it as read-only.
 func (v *View) Index() (*IndexState, error) {
 	if v.index == nil {
-		return nil, fmt.Errorf("kcore: View captured no index (need View(WithIndex()) on the order-based engine): %w",
-			ErrWrongEngine)
+		return nil, errors.New("kcore: View captured no index (take it with View(WithIndex()))")
 	}
 	return v.index, nil
 }

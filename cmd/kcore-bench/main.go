@@ -229,7 +229,7 @@ func engineHotpath(edges int, seed uint64) []bench.Result {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e := kcore.NewEngine(kcore.WithSeed(seed))
+			e := kcore.NewEngine()
 			b.StartTimer()
 			if _, err := e.Apply(batch); err != nil {
 				b.Fatal(err)
@@ -240,7 +240,7 @@ func engineHotpath(edges int, seed uint64) []bench.Result {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e := kcore.NewEngine(kcore.WithSeed(seed))
+			e := kcore.NewEngine()
 			b.StartTimer()
 			for _, ed := range all {
 				if _, err := e.AddEdge(ed[0], ed[1]); err != nil {
@@ -385,7 +385,7 @@ func batchAPI(edges int, seed uint64) []bench.Result {
 	const rounds = 5
 	var batchBest, singleBest time.Duration
 	for r := 0; r < rounds; r++ {
-		e := kcore.NewEngine(kcore.WithSeed(seed))
+		e := kcore.NewEngine()
 		start := time.Now()
 		if _, err := e.Apply(batch); err != nil {
 			fatal(err)
@@ -395,7 +395,7 @@ func batchAPI(edges int, seed uint64) []bench.Result {
 		}
 	}
 	for r := 0; r < rounds; r++ {
-		e := kcore.NewEngine(kcore.WithSeed(seed))
+		e := kcore.NewEngine()
 		start := time.Now()
 		for _, ed := range all {
 			if _, err := e.AddEdge(ed[0], ed[1]); err != nil {

@@ -57,13 +57,12 @@ func applyBatchRows(cfg bench.Config) []bench.Result {
 		{"engine/apply-batch", nil},
 		{"engine/apply-batch/maintain", []kcore.Option{kcore.WithRebuildThreshold(-1, 0)}},
 	} {
-		opts := append([]kcore.Option{kcore.WithSeed(cfg.Seed)}, row.opts...)
 		results = append(results, bench.RunMeasured(cfg.Out, row.name, params,
 			func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					e := kcore.NewEngine(opts...)
+					e := kcore.NewEngine(row.opts...)
 					b.StartTimer()
 					if _, err := e.Apply(batch); err != nil {
 						b.Fatal(err)
@@ -98,13 +97,11 @@ func crossoverRows(cfg bench.Config) []bench.Result {
 			const rounds = 3
 			var best time.Duration
 			for r := 0; r < rounds; r++ {
-				opts := []kcore.Option{kcore.WithSeed(cfg.Seed)}
+				opt := kcore.WithRebuildThreshold(1, 0)
 				if mode == "maintain" {
-					opts = append(opts, kcore.WithRebuildThreshold(-1, 0))
-				} else {
-					opts = append(opts, kcore.WithRebuildThreshold(1, 0))
+					opt = kcore.WithRebuildThreshold(-1, 0)
 				}
-				e, err := kcore.FromEdges(baseEdges, opts...)
+				e, err := kcore.FromEdges(baseEdges, opt)
 				if err != nil {
 					panic(err)
 				}

@@ -62,7 +62,7 @@ func serveExperiment(cfg bench.Config) []bench.Result {
 
 func runServeLoad(p serveParams) ([]bench.Result, error) {
 	base := gen.ErdosRenyi(p.baseN, p.baseM, p.seed)
-	engine, err := kcore.FromEdges(base.Edges(), kcore.WithSeed(p.seed))
+	engine, err := kcore.FromEdges(base.Edges())
 	if err != nil {
 		return nil, err
 	}

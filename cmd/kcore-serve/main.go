@@ -89,7 +89,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	var (
 		addr         = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		load         = fs.String("load", "", "file to preload: an edge list (whitespace-separated \"u v\" lines) or a KCORSNAP snapshot image")
-		seed         = fs.Uint64("seed", 1, "engine randomization seed")
 		rebuildFloor = fs.Int("rebuild-floor", -2, "maintain-vs-recompute floor (-2 = engine default, -1 = never recompute)")
 		rebuildFrac  = fs.Float64("rebuild-frac", 0.15, "maintain-vs-recompute graph fraction (with -rebuild-floor)")
 		maxBatch     = fs.Int("max-batch", 10000, "largest accepted updates per batch request (HTTP 413 beyond)")
@@ -151,7 +150,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 		*tenantIdle = 0
 	}
 
-	opts := []kcore.Option{kcore.WithSeed(*seed)}
+	var opts []kcore.Option
 	if *rebuildFloor != -2 {
 		opts = append(opts, kcore.WithRebuildThreshold(*rebuildFloor, *rebuildFrac))
 	}

@@ -42,7 +42,7 @@ func (g *churnGen) batch(size int) Batch {
 
 // TestEpochMatchesLocked is the quiesced differential for the epoch read
 // path: after every batch — across the sequential and wholesale-recompute
-// execution strategies and the treap order structure, with removals,
+// execution strategies, with removals,
 // coalesced pairs, and vertex operations mixed in — every lock-free read
 // API must agree exactly with the authoritative maintained state that the
 // old RWMutex read path answered from. Engine.Validate holds the lock and
@@ -54,9 +54,8 @@ func TestEpochMatchesLocked(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"sequential", []Option{WithSeed(3), WithRebuildThreshold(-1, 0)}},
-		{"rebuild", []Option{WithSeed(3), WithRebuildThreshold(1, 0.0001)}},
-		{"treap", []Option{WithSeed(3), WithOrderStructure(TreapOrder)}},
+		{"sequential", []Option{WithRebuildThreshold(-1, 0)}},
+		{"rebuild", []Option{WithRebuildThreshold(1, 0.0001)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(tc.opts...)
@@ -100,7 +99,7 @@ func TestEpochMatchesLocked(t *testing.T) {
 // TestEpochVertexOps covers the epoch's incremental growth paths: vertex
 // insertion (fresh ids beyond the previous epoch's range) and removal.
 func TestEpochVertexOps(t *testing.T) {
-	e := NewEngine(WithSeed(9))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestEpochVertexOps(t *testing.T) {
 // containment: the repair's diff is relative to panic-time cores, not the
 // last epoch, so the epoch must be rebuilt wholesale.
 func TestEpochAfterPanicRepair(t *testing.T) {
-	e := NewEngine(WithSeed(7))
+	e := NewEngine()
 	gen := newChurnGen(13, 60)
 	if _, err := e.Apply(gen.batch(120)); err != nil {
 		t.Fatal(err)
@@ -162,15 +161,12 @@ func TestEpochAfterPanicRepair(t *testing.T) {
 // epoch: an engine rebuilt via FromIndex must answer reads immediately and
 // pass the epoch tripwire.
 func TestEpochRoundTrip(t *testing.T) {
-	e := NewEngine(WithSeed(5))
+	e := NewEngine()
 	gen := newChurnGen(17, 80)
 	if _, err := e.Apply(gen.batch(200)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.View(WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := e.Index()
 	re, err := FromIndex(st)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +187,7 @@ func TestEpochRoundTrip(t *testing.T) {
 // is held by someone else. Under the old RWMutex read path each of these
 // calls would deadlock this test.
 func TestEpochReadsLockFree(t *testing.T) {
-	e := NewEngine(WithSeed(2))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +239,8 @@ func TestReadLinearizabilityDifferential(t *testing.T) {
 		batches  = 120
 		readers  = 4
 	)
-	e := NewEngine(WithSeed(21))
-	ref := NewEngine(WithSeed(21))
+	e := NewEngine()
+	ref := NewEngine()
 
 	// Ground truth per observable seq, recorded by the writer before the
 	// batch is applied to the engine under test: readers can then never

@@ -17,13 +17,16 @@ const fuzzVertices = 24
 
 // fuzzModes are the engine configurations FuzzEngineApply drives: the
 // default, per-update maintenance forced on every batch, wholesale
-// recomputation forced on every multi-update batch, and the treap order
-// structure.
-var fuzzModes = [][]kcore.Option{
-	nil,
-	{kcore.WithRebuildThreshold(-1, 0)},
-	{kcore.WithRebuildThreshold(1, 0)},
-	{kcore.WithOrderStructure(kcore.TreapOrder)},
+// recomputation forced on every multi-update batch, and the default engine
+// captured with Engine.Index and rebuilt by FromIndex after every batch.
+var fuzzModes = []struct {
+	opts    []kcore.Option
+	restore bool
+}{
+	{},
+	{opts: []kcore.Option{kcore.WithRebuildThreshold(-1, 0)}},
+	{opts: []kcore.Option{kcore.WithRebuildThreshold(1, 0)}},
+	{restore: true},
 }
 
 // FuzzEngineApply drives random mixed batches through the public Engine
@@ -32,7 +35,8 @@ var fuzzModes = [][]kcore.Option{
 // set, the lock-free reads against a View, and the traversal baseline fed
 // the surviving updates the apply hook reports. At the end the hook stream
 // is replayed into a fresh engine, which must reach the same sequence
-// number, cores and k-order.
+// number, cores and k-order; in the restore mode that proves each
+// captured and rebuilt engine carried on exactly as the live one would.
 //
 // Input format: mode selects a configuration from fuzzModes; data is a
 // sequence of batches, each a header byte (low five bits: update count
@@ -68,13 +72,14 @@ func FuzzEngineApply(f *testing.F) {
 
 func fuzzEngineApply(t *testing.T, mode uint8, data []byte) {
 	{
-		opts := fuzzModes[int(mode)%len(fuzzModes)]
-		e := kcore.NewEngine(opts...)
+		cfg := fuzzModes[int(mode)%len(fuzzModes)]
+		e := kcore.NewEngine(cfg.opts...)
 		var log []kcore.AppliedBatch
-		e.SetApplyHook(func(ab kcore.AppliedBatch) error {
+		hook := func(ab kcore.AppliedBatch) error {
 			log = append(log, kcore.AppliedBatch{Seq: ab.Seq, Updates: slices.Clone(ab.Updates)})
 			return nil
-		})
+		}
+		e.SetApplyHook(hook)
 		oracle := traversal.New(graph.New(0), 2)
 		present := map[[2]int]bool{}
 		for step := 0; len(data) > 0; step++ {
@@ -130,9 +135,17 @@ func fuzzEngineApply(t *testing.T, mode uint8, data []byte) {
 				}
 			}
 			checkFuzzEngine(t, step, e, oracle, len(present))
+			if cfg.restore {
+				re, err := kcore.FromIndex(e.Index(), cfg.opts...)
+				if err != nil {
+					t.Fatalf("step %d: FromIndex: %v", step, err)
+				}
+				re.SetApplyHook(hook)
+				e = re
+			}
 		}
 
-		fresh := kcore.NewEngine(opts...)
+		fresh := kcore.NewEngine(cfg.opts...)
 		for i, ab := range log {
 			info, err := fresh.Replay(kcore.Batch(ab.Updates))
 			if err != nil {
@@ -142,7 +155,7 @@ func fuzzEngineApply(t *testing.T, mode uint8, data []byte) {
 				t.Fatalf("replay %d: seq %d, logged %d", i, info.Seq, ab.Seq)
 			}
 		}
-		want, got := indexOf(t, e), indexOf(t, fresh)
+		want, got := e.Index(), fresh.Index()
 		if got.Seq != want.Seq || !slices.Equal(got.Cores, want.Cores) ||
 			!slices.Equal(got.Order, want.Order) || !slices.Equal(got.Edges, want.Edges) {
 			t.Fatalf("replayed engine diverges: seq %d vs %d\ncores %v\nwant  %v\norder %v\nwant  %v",
@@ -227,13 +240,4 @@ func checkFuzzEngine(t *testing.T, step int, e *kcore.Engine, oracle *traversal.
 	if view.Seq() != e.Seq() || !slices.Equal(view.Cores(), cores) {
 		t.Fatalf("step %d: View at seq %d disagrees with the engine at seq %d", step, view.Seq(), e.Seq())
 	}
-}
-
-func indexOf(t *testing.T, e *kcore.Engine) *kcore.IndexState {
-	t.Helper()
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
 }

@@ -322,7 +322,7 @@ func TestHookSeesLargeBatches(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fresh := func(opts ...Option) *Engine {
-				e, err := FromEdges(base, append([]Option{WithSeed(3)}, opts...)...)
+				e, err := FromEdges(base, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}

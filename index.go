@@ -10,12 +10,11 @@ import (
 // IndexState is the complete maintained state of an engine at one update
 // sequence number: the edge set, the core numbers, and — the part
 // a fresh decomposition cannot reproduce — the maintained k-order, which
-// depends on the engine's whole update history. Together with the engine
-// parameters that drive deterministic replay (seed, heuristic, order
-// structure) it is exactly what a durable snapshot must capture so that
-// snapshot + write-ahead-log replay reconstructs the engine bit-identically:
-// same cores, same k-order, same Seq. Capture one with View(WithIndex()) and
-// View.Index; rebuild an engine from one with FromIndex.
+// depends on the engine's whole update history. It is exactly what a
+// durable snapshot must capture so that snapshot + write-ahead-log replay
+// reconstructs the engine bit-identically: same cores, same k-order, same
+// Seq. Capture one with Engine.Index; rebuild an engine from one with
+// FromIndex.
 type IndexState struct {
 	// Seq is the engine update sequence number the state was captured at.
 	Seq uint64
@@ -28,29 +27,34 @@ type IndexState struct {
 	Cores []int
 	// Order is the maintained k-order, front to back.
 	Order []int
-	// Seed, Heuristic and Structure are the engine parameters that must
-	// survive a restore for subsequent updates (including wholesale
-	// recomputations) to replay deterministically.
-	Seed      uint64
-	Heuristic Heuristic
-	Structure OrderStructure
+}
+
+// Index captures the complete maintained state — edge list, core numbers
+// and the maintained k-order — for serialization by a persistence layer.
+// It costs O(m + n) under one read-lock acquisition: the adjacency
+// structure and the maintained order are mutated in place, so unlike the
+// epoch-published core snapshot (View) they cannot be read without the
+// lock. It is how the durable snapshot writer (internal/persist) observes a
+// consistent state without blocking writers while the file is written. The
+// returned state is the caller's.
+func (e *Engine) Index() *IndexState {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return &IndexState{
+		Seq:      e.seq,
+		Vertices: e.g.NumVertices(),
+		Edges:    e.g.Edges(),
+		Cores:    e.m.Cores(),
+		Order:    e.m.Order(),
+	}
 }
 
 // FromIndex reconstructs an engine from a captured IndexState. The state is
 // fully verified in O(m + n) before installation (see korder.Restore): a
-// corrupted or internally inconsistent state, including an unknown
-// Heuristic or Structure value, yields an error, never a silently-wrong
-// engine. The engine adopts the state's Seq, Seed, Heuristic and
-// Structure — replay determinism depends on them — while other options
+// corrupted or internally inconsistent state yields an error, never a
+// silently-wrong engine. The engine adopts the state's Seq; options
 // (WithRebuildThreshold, ...) may be supplied as opts.
 func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
-	cfg := newConfig(opts)
-	cfg.seed = st.Seed
-	cfg.heuristic = st.Heuristic
-	cfg.structure = st.Structure
-	if err := cfg.validate(); err != nil {
-		return nil, fmt.Errorf("kcore: index state: %w", err)
-	}
 	if st.Vertices < 0 {
 		return nil, fmt.Errorf("kcore: index state: negative vertex count %d", st.Vertices)
 	}
@@ -70,11 +74,11 @@ func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 	copy(cores, st.Cores)
 	ord := make([]int, len(st.Order))
 	copy(ord, st.Order)
-	m, err := korder.Restore(g, cores, ord, cfg.korderOptions())
+	m, err := korder.Restore(g, cores, ord, korder.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("kcore: %w", err)
 	}
-	e := &Engine{g: g, m: m, cfg: cfg, seq: st.Seq}
+	e := &Engine{g: g, m: m, cfg: newConfig(opts), seq: st.Seq}
 	e.publishEpochFull()
 	return e, nil
 }

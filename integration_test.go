@@ -18,7 +18,7 @@ func TestIntegrationLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2026, 1))
 
 	// Stage 1: build a community-structured graph through the API.
-	e := kcore.NewEngine(kcore.WithSeed(9))
+	e := kcore.NewEngine()
 	const groups, size = 6, 8
 	for g := 0; g < groups; g++ {
 		base := g * size
@@ -54,10 +54,7 @@ func TestIntegrationLifecycle(t *testing.T) {
 			}
 		}
 		if i == len(edges)/2 {
-			st, err := e.View(kcore.WithIndex()).Index()
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := e.Index()
 			snap = st
 		}
 	}

@@ -19,11 +19,10 @@ type AblationRow struct {
 
 // AblationOrderStructure benchmarks the design choice of Section VI(A):
 // the paper's O(log n) order-statistics treap against the tag list with
-// O(1) comparisons that the engine uses by default. The treap stays
-// reachable here (and through kcore.WithOrderStructure(kcore.TreapOrder))
-// as the paper-faithful ablation; it is still the structure to use when
-// rank queries are needed, since the tag list trades rank for comparison
-// speed.
+// O(1) comparisons that the engine uses. The treap stays reachable only
+// here, as the paper-faithful ablation; it is still the structure to use
+// when rank queries are needed, since the tag list trades rank for
+// comparison speed.
 func AblationOrderStructure(cfg Config) []AblationRow {
 	cfg = cfg.withDefaults()
 	var rows []AblationRow

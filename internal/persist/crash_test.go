@@ -25,11 +25,10 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 		trials    = 100
 	)
 	dir := t.TempDir()
-	engOpts := []kcore.Option{kcore.WithSeed(9)}
 	init := func() (*kcore.Engine, error) {
-		return kcore.FromEdges(gen.BarabasiAlbert(120, 3, 41).Edges(), engOpts...)
+		return kcore.FromEdges(gen.BarabasiAlbert(120, 3, 41).Edges())
 	}
-	st, err := Open(dir, Options{Sync: SyncOff, CompactBytes: -1, Engine: engOpts, Init: init})
+	st, err := Open(dir, Options{Sync: SyncOff, CompactBytes: -1, Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +40,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	states := make([]*kcore.IndexState, 0, batches+1)
 	boundaries := make([]int64, 0, batches+1)
 	record := func() {
-		s, err := e.View(kcore.WithIndex()).Index()
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := e.Index()
 		states = append(states, s)
 		boundaries = append(boundaries, st.Stats().WALBytes)
 	}
@@ -103,15 +99,12 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		rst, err := Open(crashDir, Options{Sync: SyncOff, CompactBytes: -1, Engine: engOpts})
+		rst, err := Open(crashDir, Options{Sync: SyncOff, CompactBytes: -1})
 		if err != nil {
 			t.Fatalf("trial %d (cut %d, torn %v): recovery failed: %v", trial, cut, torn, err)
 		}
 		want := states[j]
-		got, err := rst.Engine().View(kcore.WithIndex()).Index()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := rst.Engine().Index()
 		if got.Seq != want.Seq {
 			t.Fatalf("trial %d (cut %d, torn %v): recovered seq %d, want %d",
 				trial, cut, torn, got.Seq, want.Seq)

@@ -12,14 +12,11 @@ import (
 // fuzzSeedSnapshot builds a small valid snapshot for the seed corpus.
 func fuzzSeedSnapshot(tb testing.TB) []byte {
 	tb.Helper()
-	e, err := kcore.FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}, kcore.WithSeed(3))
+	e, err := kcore.FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	st := e.Index()
 	data, err := EncodeSnapshot(st)
 	if err != nil {
 		tb.Fatal(err)

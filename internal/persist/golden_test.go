@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,25 +14,30 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden format fixtures")
 
-// goldenState is the fixed engine state both golden fixtures derive from.
-// Do not change it: the fixtures pin the byte format, and this state pins
-// the fixtures. It is pinned to the treap, the structure it was recorded
-// with, so the header's structure byte stays the fixture's.
+// goldenState is the fixed engine state the snapshot fixture derives from.
+// Do not change it: the fixture pins the byte format, and this state pins
+// the fixture.
 func goldenState(tb testing.TB) *kcore.IndexState {
 	tb.Helper()
 	edges := [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {4, 5}, {3, 5}, {1, 5}}
-	e, err := kcore.FromEdges(edges, kcore.WithSeed(7), kcore.WithOrderStructure(kcore.TreapOrder))
+	e, err := kcore.FromEdges(edges)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if _, err := e.Apply(kcore.Batch{kcore.Add(0, 5), kcore.Remove(2, 3), kcore.Add(6, 0)}); err != nil {
 		tb.Fatal(err)
 	}
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return st
+	return e.Index()
+}
+
+// patchSnapshot returns a copy of snapshot bytes with edit applied and the
+// trailing CRC recomputed.
+func patchSnapshot(data []byte, edit func([]byte)) []byte {
+	out := bytes.Clone(data)
+	edit(out)
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(body):], crc32.ChecksumIEEE(body))
+	return out
 }
 
 // goldenWAL is the fixed WAL byte stream (header + three records, one with
@@ -83,24 +89,39 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // TestGoldenSnapshotFormat pins the snapshot byte format: the fixed state
 // must encode to the committed fixture byte for byte, and the fixture must
-// decode back to the exact state.
+// decode back to the exact state. The fixture was written by an engine that
+// recorded the treap (byte 13 = 0) and seed 7 in the legacy header fields;
+// today's writer records the default header (structure 1, seed 1), so the
+// encoding must equal the fixture with exactly those fields and the CRC
+// changed. The fixture doubles as an old-writer input and is never
+// regenerated (-update leaves it alone).
 func TestGoldenSnapshotFormat(t *testing.T) {
 	st := goldenState(t)
 	data, err := EncodeSnapshot(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "snapshot_v1.bin", data)
+	fixture, err := os.ReadFile(goldenPath("snapshot_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := patchSnapshot(fixture, func(b []byte) {
+		b[13] = legacyStructure
+		binary.LittleEndian.PutUint64(b[16:24], legacySeed)
+	})
+	if !bytes.Equal(data, want) {
+		t.Fatalf("snapshot_v1.bin: encoding changed (%d bytes, golden %d).\n"+
+			"The on-disk format is pinned: if this change is intentional, bump the "+
+			"format version and keep a decoder for the old version (or document the "+
+			"migration).", len(data), len(fixture))
+	}
 
 	e, err := ReadSnapshot(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seq != st.Seq || got.Seed != st.Seed || got.Vertices != st.Vertices {
+	got := e.Index()
+	if got.Seq != st.Seq || got.Vertices != st.Vertices {
 		t.Fatalf("golden decode header mismatch: %+v vs %+v", got, st)
 	}
 }

@@ -20,10 +20,10 @@
 //
 //	magic     [8]byte  "KCORSNAP"
 //	version   uint32   1
-//	heuristic uint8    engine heuristic     (replay determinism parameters)
-//	structure uint8    order structure
+//	heuristic uint8    written 0; read and ignored (0..2 accepted)
+//	structure uint8    written 1; read and ignored (0..1 accepted)
 //	reserved  uint16   0
-//	seed      uint64   engine seed
+//	seed      uint64   written 1; read and ignored
 //	seq       uint64   update sequence number of the captured state
 //	n         uvarint  vertices
 //	m         uvarint  edges
@@ -35,11 +35,18 @@
 //	crc32     uint32   IEEE CRC-32 of every preceding byte
 //
 // Snapshots are written atomically (temp file + rename + directory sync)
-// from a View(WithIndex()) capture, so writers are blocked only for the
+// from an Engine.Index capture, so writers are blocked only for the
 // O(m + n) in-memory capture, never for the file write. Loading verifies
 // the CRC and then the state itself (korder.Restore's O(m + n)
 // certification), so a load that succeeds can never install
 // silently-wrong state; every structural failure wraps ErrCorruptSnapshot.
+//
+// The heuristic, structure and seed fields once recorded engine knobs. The
+// engine now has one configuration (small deg+ first over the tag list),
+// and cores and k-order do not depend on the structure or the seed, so a
+// snapshot any writer produced loads onto it. The written values are the
+// ones a default engine always recorded, so an older reader loads new files
+// onto its own default configuration.
 //
 // # WAL format (version 1, little endian)
 //
@@ -190,8 +197,7 @@ type Options struct {
 	// and heals — on demand).
 	CompactBytes int64
 	// Engine supplies the engine options used when no snapshot exists yet
-	// and passed through to snapshot loading (snapshot-stored seed,
-	// heuristic and structure win over these; see kcore.FromIndex).
+	// and passed through to snapshot loading (see kcore.FromIndex).
 	Engine []kcore.Option
 	// Init, when non-nil, builds the initial engine for a directory that
 	// holds no prior state (no snapshot, no WAL records) — e.g. preloading

@@ -25,6 +25,17 @@ var snapshotMagic = [8]byte{'K', 'C', 'O', 'R', 'S', 'N', 'A', 'P'}
 // seed + seq; the varint-coded body follows.
 const snapshotHeaderLen = 8 + 4 + 4 + 8 + 8
 
+// The header's legacy engine fields (see the package doc): the values
+// EncodeSnapshot writes, and the largest heuristic and structure values a
+// writer ever recorded, above which DecodeSnapshot reports corruption.
+const (
+	legacyHeuristic    = 0
+	legacyStructure    = 1
+	legacySeed         = 1
+	legacyMaxHeuristic = 2
+	legacyMaxStructure = 1
+)
+
 // IsSnapshot reports whether prefix begins with the snapshot magic — the
 // first 8 bytes are enough to tell a KCORSNAP image apart from other
 // formats (e.g. a text edge list) when a loader accepts both.
@@ -70,8 +81,8 @@ func EncodeSnapshot(st *kcore.IndexState) ([]byte, error) {
 	buf := make([]byte, 0, snapshotHeaderLen+4+len(edges)*3+len(st.Cores)+len(st.Order)*2)
 	buf = append(buf, snapshotMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, SnapshotVersion)
-	buf = append(buf, byte(st.Heuristic), byte(st.Structure), 0, 0)
-	buf = binary.LittleEndian.AppendUint64(buf, st.Seed)
+	buf = append(buf, legacyHeuristic, legacyStructure, 0, 0)
+	buf = binary.LittleEndian.AppendUint64(buf, legacySeed)
 	buf = binary.LittleEndian.AppendUint64(buf, st.Seq)
 	buf = binary.AppendUvarint(buf, uint64(st.Vertices))
 	buf = binary.AppendUvarint(buf, uint64(len(edges)))
@@ -125,21 +136,16 @@ func DecodeSnapshot(data []byte) (*kcore.IndexState, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (have %08x, recorded %08x)",
 			ErrCorruptSnapshot, sum, trailer)
 	}
-	// A CRC-valid header can still carry an enumeration value no engine
-	// defines (a forged or future file); FromIndex would refuse it too, but
-	// the decoder's contract is an in-range state.
-	if data[12] > byte(kcore.RandomDegPlusFirst) {
+	// The legacy engine fields are ignored, but a CRC-valid header can
+	// still carry a value no writer ever recorded (a forged or future
+	// file), and the decoder accepts only what some writer produced.
+	if data[12] > legacyMaxHeuristic {
 		return nil, fmt.Errorf("%w: unknown heuristic %d", ErrCorruptSnapshot, data[12])
 	}
-	if data[13] > byte(kcore.TagOrder) {
+	if data[13] > legacyMaxStructure {
 		return nil, fmt.Errorf("%w: unknown order structure %d", ErrCorruptSnapshot, data[13])
 	}
-	st := &kcore.IndexState{
-		Heuristic: kcore.Heuristic(data[12]),
-		Structure: kcore.OrderStructure(data[13]),
-		Seed:      binary.LittleEndian.Uint64(data[16:24]),
-		Seq:       binary.LittleEndian.Uint64(data[24:32]),
-	}
+	st := &kcore.IndexState{Seq: binary.LittleEndian.Uint64(data[24:32])}
 	r := bytes.NewReader(body[snapshotHeaderLen:])
 	n, err := readDim(r, "vertex count")
 	if err != nil {
@@ -234,9 +240,8 @@ func WriteSnapshot(w io.Writer, st *kcore.IndexState) error {
 }
 
 // ReadSnapshot decodes, CRC-verifies, and semantically verifies a snapshot,
-// returning a reconstructed engine. opts configure non-replay engine knobs
-// (rebuild thresholds); the snapshot's stored seed, heuristic and
-// structure always win. All failures wrap ErrCorruptSnapshot.
+// returning a reconstructed engine. opts configure engine knobs (rebuild
+// thresholds). All failures wrap ErrCorruptSnapshot.
 func ReadSnapshot(r io.Reader, opts ...kcore.Option) (*kcore.Engine, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -270,11 +275,7 @@ func decodeEngine(data []byte, opts ...kcore.Option) (*kcore.Engine, *kcore.Inde
 // and the directory entry is fsynced. Concurrent writers are blocked only
 // during the in-memory state capture, not the file write.
 func Save(path string, e *kcore.Engine) error {
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	data, err := EncodeSnapshot(st)
+	data, err := EncodeSnapshot(e.Index())
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,7 @@ import (
 func testEngine(t *testing.T) *kcore.Engine {
 	t.Helper()
 	g := gen.BarabasiAlbert(80, 3, 11)
-	e, err := kcore.FromEdges(g.Edges(), kcore.WithSeed(7))
+	e, err := kcore.FromEdges(g.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,20 +30,10 @@ func testEngine(t *testing.T) *kcore.Engine {
 	return e
 }
 
-// stateOf captures the observable maintained state for comparison.
-func stateOf(t *testing.T, e *kcore.Engine) *kcore.IndexState {
-	t.Helper()
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
 // assertSameState fails unless two engines agree on cores, k-order, and seq.
 func assertSameState(t *testing.T, want, got *kcore.Engine) {
 	t.Helper()
-	ws, gs := stateOf(t, want), stateOf(t, got)
+	ws, gs := want.Index(), got.Index()
 	if ws.Seq != gs.Seq {
 		t.Fatalf("seq = %d, want %d", gs.Seq, ws.Seq)
 	}
@@ -67,7 +57,7 @@ func assertSameState(t *testing.T, want, got *kcore.Engine) {
 // mid-churn) still use the strict assertSameState.
 func assertEquivalentState(t *testing.T, want, got *kcore.Engine) {
 	t.Helper()
-	ws, gs := stateOf(t, want), stateOf(t, got)
+	ws, gs := want.Index(), got.Index()
 	if ws.Seq != gs.Seq {
 		t.Fatalf("seq = %d, want %d", gs.Seq, ws.Seq)
 	}
@@ -129,7 +119,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	e := testEngine(t)
-	st := stateOf(t, e)
+	st := e.Index()
 	data, err := EncodeSnapshot(st)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +148,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // instead of loading silently-wrong core numbers.
 func TestSnapshotRejectsForgedState(t *testing.T) {
 	e := testEngine(t)
-	st := stateOf(t, e)
+	st := e.Index()
 	forged := *st
 	forged.Cores = slices.Clone(st.Cores)
 	forged.Cores[0]++ // claim a core number the graph cannot support
@@ -215,7 +205,7 @@ func TestSaveIsAtomic(t *testing.T) {
 // TestEncodeRejectsInvalidEdges: malformed IndexState edges must fail the
 // encode, never produce a snapshot that cannot be decoded.
 func TestEncodeRejectsInvalidEdges(t *testing.T) {
-	base := stateOf(t, testEngine(t))
+	base := testEngine(t).Index()
 	for name, edges := range map[string][][2]int{
 		"negative second endpoint": {{5, -1}},
 		"negative first endpoint":  {{-1, 5}},
@@ -230,27 +220,24 @@ func TestEncodeRejectsInvalidEdges(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsUnknownEnums: a CRC-valid snapshot whose heuristic or
-// order-structure byte names no defined value is corrupt. An unknown
-// heuristic used to load and then stall the engine's first wholesale
-// recomputation forever.
+// TestSnapshotRejectsUnknownEnums: the header's legacy heuristic and
+// order-structure bytes are ignored, but a CRC-valid snapshot carrying a
+// value no writer ever recorded is corrupt.
 func TestSnapshotRejectsUnknownEnums(t *testing.T) {
-	st := stateOf(t, testEngine(t))
-	for name, edit := range map[string]func(*kcore.IndexState){
-		"heuristic 3": func(s *kcore.IndexState) { s.Heuristic = 3 },
-		"heuristic 7": func(s *kcore.IndexState) { s.Heuristic = 7 },
-		"structure 2": func(s *kcore.IndexState) { s.Structure = 2 },
+	data, err := EncodeSnapshot(testEngine(t).Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, edit := range map[string]func([]byte){
+		"heuristic 3": func(b []byte) { b[12] = 3 },
+		"heuristic 7": func(b []byte) { b[12] = 7 },
+		"structure 2": func(b []byte) { b[13] = 2 },
 	} {
-		forged := *st
-		edit(&forged)
-		data, err := EncodeSnapshot(&forged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := DecodeSnapshot(data); !errors.Is(err, ErrCorruptSnapshot) {
+		forged := patchSnapshot(data, edit)
+		if _, err := DecodeSnapshot(forged); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("%s: DecodeSnapshot err = %v, want ErrCorruptSnapshot", name, err)
 		}
-		if _, err := Load(writeTemp(t, data)); !errors.Is(err, ErrCorruptSnapshot) {
+		if _, err := Load(writeTemp(t, forged)); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("%s: Load err = %v, want ErrCorruptSnapshot", name, err)
 		}
 	}

@@ -62,16 +62,6 @@ func churnScript(base, batches, batchSize int, seed uint64) []kcore.Batch {
 	return out
 }
 
-// indexOf captures an engine's full replicated identity.
-func indexOf(t *testing.T, e *kcore.Engine) *kcore.IndexState {
-	t.Helper()
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		t.Fatalf("capture index: %v", err)
-	}
-	return st
-}
-
 // sameState asserts bit-identical replicated state: seq, vertex space, core
 // numbers, the maintained k-order, and the edge SET (the Edges slice order
 // is an iteration artifact, not state — sort before comparing).
@@ -79,10 +69,6 @@ func sameState(t *testing.T, name string, got, want *kcore.IndexState) {
 	t.Helper()
 	if got.Seq != want.Seq || got.Vertices != want.Vertices {
 		t.Fatalf("%s: seq/vertices = %d/%d, want %d/%d", name, got.Seq, got.Vertices, want.Seq, want.Vertices)
-	}
-	if got.Seed != want.Seed || got.Heuristic != want.Heuristic || got.Structure != want.Structure {
-		t.Fatalf("%s: engine parameters differ: got %d/%v/%v want %d/%v/%v",
-			name, got.Seed, got.Heuristic, got.Structure, want.Seed, want.Heuristic, want.Structure)
 	}
 	if !slices.Equal(got.Cores, want.Cores) {
 		t.Fatalf("%s: core numbers diverged at seq %d", name, want.Seq)
@@ -123,7 +109,7 @@ func waitSeq(t *testing.T, f *replicate.Follower, seq uint64) {
 // bit-identically — edges, core numbers, AND the maintained k-order (the
 // strongest equality the engine offers), with no gap-forced re-bootstraps.
 func TestReplicationDifferential(t *testing.T) {
-	engine := kcore.NewEngine(kcore.WithSeed(42))
+	engine := kcore.NewEngine()
 	pub := replicate.NewPublisher(engine, replicate.PublisherOptions{})
 	defer pub.Close()
 	srv := server.New(engine, server.Options{Publisher: pub})
@@ -178,10 +164,10 @@ func TestReplicationDifferential(t *testing.T) {
 	}
 
 	final := engine.Seq()
-	want := indexOf(t, engine)
+	want := engine.Index()
 	for i, f := range followers {
 		waitSeq(t, f, final)
-		sameState(t, fmt.Sprintf("follower %d", i), indexOf(t, f.Engine()), want)
+		sameState(t, fmt.Sprintf("follower %d", i), f.Engine().Index(), want)
 		st := f.Stats()
 		if st.Gaps != 0 {
 			t.Fatalf("follower %d hit %d gaps; a severed stream must resume, not re-bootstrap (stats %+v)", i, st.Gaps, st)
@@ -210,18 +196,18 @@ func TestReplicationDifferential(t *testing.T) {
 // snapshot — never silently diverge.
 func TestFollowerGapReBootstrap(t *testing.T) {
 	// Real engine states for the two bootstraps the fake primary serves.
-	e := kcore.NewEngine(kcore.WithSeed(9))
+	e := kcore.NewEngine()
 	if _, err := e.Apply(kcore.Batch{kcore.Add(0, 1), kcore.Add(1, 2), kcore.Add(0, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	snapEarly, err := persist.EncodeSnapshot(indexOf(t, e)) // seq 3
+	snapEarly, err := persist.EncodeSnapshot(e.Index()) // seq 3
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Apply(kcore.Batch{kcore.Add(2, 3), kcore.Add(3, 4), kcore.Add(2, 4)}); err != nil {
 		t.Fatal(err)
 	}
-	snapFull, err := persist.EncodeSnapshot(indexOf(t, e)) // seq 6
+	snapFull, err := persist.EncodeSnapshot(e.Index()) // seq 6
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +273,7 @@ func TestFollowerGapReBootstrap(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	sameState(t, "post-re-bootstrap", indexOf(t, f.Engine()), indexOf(t, e))
+	sameState(t, "post-re-bootstrap", f.Engine().Index(), e.Index())
 	mu.Lock()
 	defer mu.Unlock()
 	if len(resumeAsked) < 2 || resumeAsked[0] || resumeAsked[1] {
@@ -300,11 +286,11 @@ func TestFollowerGapReBootstrap(t *testing.T) {
 // corrupted mid-stream must poison the connection (gap counted), not crash
 // or apply garbage.
 func TestFollowerRejectsCorruptStream(t *testing.T) {
-	e := kcore.NewEngine(kcore.WithSeed(9))
+	e := kcore.NewEngine()
 	if _, err := e.Apply(kcore.Batch{kcore.Add(0, 1), kcore.Add(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := persist.EncodeSnapshot(indexOf(t, e))
+	snap, err := persist.EncodeSnapshot(e.Index())
 	if err != nil {
 		t.Fatal(err)
 	}

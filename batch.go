@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 
+	"kcore/internal/graph"
 	"kcore/internal/korder"
 )
 
@@ -96,8 +97,8 @@ type BatchInfo struct {
 //
 // The batch is validated in full before any mutation: every update is
 // checked (in order, accounting for the effect of the preceding updates in
-// the batch) for self loops, negative vertex ids, duplicate insertions and
-// missing removals. On a validation failure Apply returns a *BatchError
+// the batch) for self loops, vertex ids outside [0, math.MaxInt32],
+// duplicate insertions and missing removals. On a validation failure Apply returns a *BatchError
 // wrapping the corresponding sentinel and the engine is left unchanged.
 // Validation also coalesces self-annihilating update pairs — see
 // BatchInfo.Coalesced for the exact semantics.
@@ -318,7 +319,7 @@ func (e *Engine) validateBatch(batch Batch) (skip []bool, coalesced int, err err
 		u, v := up.U, up.V
 		var cause error
 		switch {
-		case u < 0 || v < 0:
+		case u < 0 || v < 0 || u > graph.MaxVertex || v > graph.MaxVertex:
 			cause = ErrVertexRange
 		case u == v:
 			cause = ErrSelfLoop

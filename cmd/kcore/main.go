@@ -131,7 +131,7 @@ func explain(err error) string {
 	case errors.Is(err, kcore.ErrSelfLoop):
 		return "self loops not supported" + pos
 	case errors.Is(err, kcore.ErrVertexRange):
-		return "vertex ids must be non-negative" + pos
+		return "vertex ids must be in [0, 2^31-1]" + pos
 	default:
 		return err.Error()
 	}

@@ -20,7 +20,8 @@ var (
 	ErrDuplicateEdge = graph.ErrDuplicateEdge
 	// ErrMissingEdge is returned when a removed edge is not present.
 	ErrMissingEdge = graph.ErrMissingEdge
-	// ErrVertexRange is returned for negative vertex identifiers.
+	// ErrVertexRange is returned for a vertex identifier that is negative
+	// or above math.MaxInt32.
 	ErrVertexRange = graph.ErrVertexRange
 )
 

@@ -209,10 +209,42 @@ func hotpathExperiments(cfg Config) []hotpathExperiment {
 			},
 		},
 		{
+			name:   "graph/hub/churn",
+			params: map[string]any{"n": 4096, "hub_degree": 4096, "threshold": graph.IndexThreshold},
+			fn:     benchHubChurn,
+		},
+		{
 			name:   "order/arena/migrate",
 			params: map[string]any{"n": 1024, "lists": 2},
 			fn:     benchArenaMigrate,
 		},
+	}
+}
+
+// benchHubChurn mirrors graph's BenchmarkHybridAdjacencyHubChurn: remove
+// and re-add the spokes of one degree-4096 hub on a star-plus-ring graph,
+// so every operation goes through the hub's edge-table entries.
+func benchHubChurn(b *testing.B) {
+	const n = 4096
+	g := graph.New(n + 1)
+	for v := 1; v <= n; v++ {
+		if err := g.AddEdge(0, v); err != nil {
+			b.Fatal(err)
+		}
+		if err := g.AddEdge(v, v%n+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := i%n + 1
+		if err := g.RemoveEdge(0, v); err != nil {
+			b.Fatal(err)
+		}
+		if err := g.AddEdge(0, v); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,19 +1,29 @@
 // Package graph provides the dynamic undirected graph substrate used by all
 // core-maintenance algorithms in this repository.
 //
-// Vertices are dense non-negative integers. The adjacency representation is a
-// slice per vertex plus a hybrid position index: below a small degree
-// threshold membership and removal use a branch-predictable linear scan of
-// the adjacency slice, and only hub vertices that cross the threshold are
-// promoted to a map index. Power-law streams therefore allocate maps for a
-// tiny fraction of vertices while keeping O(1) expected insertion, removal,
-// and membership tests, allocation-free neighbor iteration, and
-// deterministic (insertion, perturbed by swap-removes) order.
+// Vertices are dense integers in [0, MaxVertex]. Each vertex keeps its
+// neighbors in an adjacency slice, in insertion order perturbed by
+// swap-removes. Membership and removal take one of two paths, chosen by the
+// observed degree:
+//
+//   - An edge between two vertices of degree at most IndexThreshold is found
+//     by a linear scan of the shorter adjacency slice: a few contiguous
+//     int32 compares, with no index to maintain.
+//   - An edge with a hub endpoint (one whose degree has crossed
+//     IndexThreshold) has an entry in one graph-wide open-addressing table,
+//     keyed by the packed endpoint pair and holding the edge's slot in each
+//     hub endpoint's adjacency slice. HasEdge, the duplicate check of
+//     AddEdge and the lookup of RemoveEdge each cost one probe.
+//
+// Power-law and sparse graphs keep most edges out of the table, and
+// neighbor iteration is an allocation-free slice walk either way.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // ErrSelfLoop is returned when an edge (v, v) is added.
@@ -25,15 +35,20 @@ var ErrDuplicateEdge = errors.New("graph: edge already present")
 // ErrMissingEdge is returned when a non-existent edge is removed.
 var ErrMissingEdge = errors.New("graph: edge not present")
 
-// ErrVertexRange is returned for negative vertex identifiers.
-var ErrVertexRange = errors.New("graph: vertex id must be non-negative")
+// ErrVertexRange is returned for a vertex id that is negative or above
+// MaxVertex.
+var ErrVertexRange = errors.New("graph: vertex id must be in [0, 2^31-1]")
 
-// IndexThreshold is the degree at which a vertex's adjacency gains a map
-// position index. Below it, HasEdge/removeArc linearly scan the adjacency
-// slice — a handful of contiguous int32 compares, cheaper than a map probe
-// and entirely allocation-free. Promotion is sticky: once a hub, always a
-// hub, so a vertex oscillating around the threshold never thrashes
-// (re)building its index.
+// MaxVertex is the largest vertex id: adjacency slices store int32 ids and
+// the edge table packs an endpoint pair into one uint64.
+const MaxVertex = math.MaxInt32
+
+// IndexThreshold is the degree above which a vertex becomes a hub: every
+// edge it takes part in gets an entry in the graph's edge table. Up to this
+// degree a linear scan of the adjacency slice is cheaper than a hash probe
+// and needs no table entry. Promotion is sticky: once a hub, always a hub,
+// so a vertex oscillating around the threshold never thrashes (re)indexing
+// its edges.
 const IndexThreshold = 32
 
 // Undirected is a mutable simple undirected graph (no self loops, no
@@ -42,9 +57,10 @@ const IndexThreshold = 32
 // Undirected is not safe for concurrent mutation; wrap it (or use the public
 // kcore API) if you need synchronization.
 type Undirected struct {
-	adj [][]int32         // adjacency lists, insertion ordered
-	pos []map[int32]int32 // pos[v][w] = index of w in adj[v]; nil until v crosses IndexThreshold
-	m   int               // number of edges
+	adj [][]int32 // adjacency lists, insertion ordered
+	hub []bool    // hub[v]: v's degree has crossed IndexThreshold (sticky)
+	idx arcIndex  // one entry per edge with at least one hub endpoint
+	m   int       // number of edges
 }
 
 // New returns a graph with n isolated vertices 0..n-1.
@@ -65,14 +81,14 @@ func (g *Undirected) NumEdges() int { return g.m }
 func (g *Undirected) EnsureVertex(v int) {
 	for len(g.adj) <= v {
 		g.adj = append(g.adj, nil)
-		g.pos = append(g.pos, nil)
+		g.hub = append(g.hub, false)
 	}
 }
 
 // AddVertex appends a fresh isolated vertex and returns its id.
 func (g *Undirected) AddVertex() int {
 	g.adj = append(g.adj, nil)
-	g.pos = append(g.pos, nil)
+	g.hub = append(g.hub, false)
 	return len(g.adj) - 1
 }
 
@@ -92,102 +108,144 @@ func (g *Undirected) HasEdge(u, v int) bool {
 	if !g.HasVertex(u) || !g.HasVertex(v) || u == v {
 		return false
 	}
-	// Arcs are mirrored, so either endpoint answers. Prefer an existing map
-	// index; otherwise scan the shorter adjacency slice.
-	if p := g.pos[u]; p != nil {
-		_, ok := p[int32(v)]
+	if g.hub[u] || g.hub[v] {
+		key, _ := pack(u, v)
+		_, ok := g.idx.find(key)
 		return ok
 	}
-	if p := g.pos[v]; p != nil {
-		_, ok := p[int32(u)]
-		return ok
+	// Arcs are mirrored, so either endpoint answers: scan the shorter list.
+	if len(g.adj[v]) < len(g.adj[u]) {
+		u, v = v, u
 	}
-	a, b := u, v
-	if len(g.adj[b]) < len(g.adj[a]) {
-		a, b = b, a
-	}
-	w := int32(b)
-	for _, x := range g.adj[a] {
-		if x == w {
-			return true
-		}
-	}
-	return false
+	return slices.Index(g.adj[u], int32(v)) >= 0
 }
 
 // AddEdge inserts the undirected edge (u, v), growing the vertex set as
 // needed. It returns ErrSelfLoop, ErrVertexRange, or ErrDuplicateEdge on
 // invalid input.
 func (g *Undirected) AddEdge(u, v int) error {
-	if u < 0 || v < 0 {
+	if u < 0 || v < 0 || u > MaxVertex || v > MaxVertex {
 		return ErrVertexRange
 	}
 	if u == v {
 		return ErrSelfLoop
 	}
 	g.EnsureVertex(max(u, v))
-	if g.HasEdge(u, v) {
+	if !g.insert(u, v) {
 		return ErrDuplicateEdge
 	}
-	g.addArc(u, v)
-	g.addArc(v, u)
-	g.m++
+	if !g.hub[u] && len(g.adj[u]) > IndexThreshold {
+		g.promote(u)
+	}
+	if !g.hub[v] && len(g.adj[v]) > IndexThreshold {
+		g.promote(v)
+	}
 	return nil
+}
+
+// insert adds the edge (u, v) between existing vertices unless it is
+// present, and reports whether it did. The duplicate check of an edge with
+// a hub endpoint lands on the slot its new table entry takes.
+func (g *Undirected) insert(u, v int) bool {
+	if g.hub[u] || g.hub[v] {
+		g.idx.reserve(1)
+		key, su := pack(u, v)
+		i, ok := g.idx.find(key)
+		if ok {
+			return false
+		}
+		var slot [2]int32
+		slot[su], slot[1-su] = g.nextSlot(u), g.nextSlot(v)
+		g.idx.put(i, key, slot)
+	} else if g.HasEdge(u, v) {
+		return false
+	}
+	g.adj[u] = append(g.adj[u], int32(v))
+	g.adj[v] = append(g.adj[v], int32(u))
+	g.m++
+	return true
+}
+
+// nextSlot is the slot an arc appended to adj[u] takes, as the edge table
+// records it: -1 when u is not a hub.
+func (g *Undirected) nextSlot(u int) int32 {
+	if g.hub[u] {
+		return int32(len(g.adj[u]))
+	}
+	return -1
+}
+
+// promote makes u a hub and records its slot in the table entry of each of
+// its edges.
+func (g *Undirected) promote(u int) {
+	g.hub[u] = true
+	g.idx.reserve(len(g.adj[u]))
+	g.index(u)
+}
+
+// index records u's slot in the table entry of each of its edges, creating
+// the entries that do not exist yet. The table must have room for them.
+func (g *Undirected) index(u int) {
+	for i, w := range g.adj[u] {
+		key, su := pack(u, int(w))
+		j, ok := g.idx.find(key)
+		if !ok {
+			g.idx.put(j, key, [2]int32{-1, -1})
+		}
+		g.idx.tab[j].slot[su] = int32(i)
+	}
 }
 
 // RemoveEdge deletes the undirected edge (u, v). It returns ErrMissingEdge
 // when the edge is absent.
 func (g *Undirected) RemoveEdge(u, v int) error {
-	if !g.HasEdge(u, v) {
+	if !g.HasVertex(u) || !g.HasVertex(v) || u == v {
 		return ErrMissingEdge
 	}
-	g.removeArc(u, v)
-	g.removeArc(v, u)
+	var iu, iv int
+	if g.hub[u] || g.hub[v] {
+		key, su := pack(u, v)
+		j, ok := g.idx.find(key)
+		if !ok {
+			return ErrMissingEdge
+		}
+		slot := g.idx.tab[j].slot
+		g.idx.del(j)
+		iu, iv = int(slot[su]), int(slot[1-su])
+		if iu < 0 {
+			iu = slices.Index(g.adj[u], int32(v))
+		}
+		if iv < 0 {
+			iv = slices.Index(g.adj[v], int32(u))
+		}
+	} else {
+		if iu = slices.Index(g.adj[u], int32(v)); iu < 0 {
+			return ErrMissingEdge
+		}
+		iv = slices.Index(g.adj[v], int32(u))
+	}
+	g.removeArc(u, iu)
+	g.removeArc(v, iv)
 	g.m--
 	return nil
 }
 
-func (g *Undirected) addArc(u, v int) {
-	if p := g.pos[u]; p != nil {
-		p[int32(v)] = int32(len(g.adj[u]))
-	}
-	g.adj[u] = append(g.adj[u], int32(v))
-	if g.pos[u] == nil && len(g.adj[u]) > IndexThreshold {
-		g.promote(u)
-	}
-}
-
-// promote builds the map position index for hub vertex u.
-func (g *Undirected) promote(u int) {
-	p := make(map[int32]int32, 2*len(g.adj[u]))
-	for i, w := range g.adj[u] {
-		p[w] = int32(i)
-	}
-	g.pos[u] = p
-}
-
-func (g *Undirected) removeArc(u, v int) {
-	var i int32
-	if p := g.pos[u]; p != nil {
-		i = p[int32(v)]
-	} else {
-		w := int32(v)
-		for j, x := range g.adj[u] {
-			if x == w {
-				i = int32(j)
-				break
-			}
+// removeArc swap-removes slot i of adj[u]: the last neighbor fills the
+// vacated slot, and when u is a hub the moved arc's table entry is
+// repointed.
+func (g *Undirected) removeArc(u, i int) {
+	a := g.adj[u]
+	last := len(a) - 1
+	if i != last {
+		w := a[last]
+		a[i] = w
+		if g.hub[u] {
+			key, su := pack(u, int(w))
+			j, _ := g.idx.find(key)
+			g.idx.tab[j].slot[su] = int32(i)
 		}
 	}
-	// Swap-remove: the last neighbor fills the vacated slot.
-	last := int32(len(g.adj[u]) - 1)
-	w := g.adj[u][last]
-	g.adj[u][i] = w
-	if p := g.pos[u]; p != nil {
-		p[w] = i
-		delete(p, int32(v))
-	}
-	g.adj[u] = g.adj[u][:last]
+	g.adj[u] = a[:last]
 }
 
 // Neighbors returns the adjacency list of v as int32 ids.
@@ -256,18 +314,13 @@ func (g *Undirected) AvgDegree() float64 {
 func (g *Undirected) Clone() *Undirected {
 	c := &Undirected{
 		adj: make([][]int32, len(g.adj)),
-		pos: make([]map[int32]int32, len(g.pos)),
+		hub: slices.Clone(g.hub),
+		idx: arcIndex{tab: slices.Clone(g.idx.tab), n: g.idx.n, shift: g.idx.shift},
 		m:   g.m,
 	}
 	for v := range g.adj {
 		if len(g.adj[v]) > 0 {
 			c.adj[v] = append([]int32(nil), g.adj[v]...)
-		}
-		if g.pos[v] != nil {
-			c.pos[v] = make(map[int32]int32, len(g.pos[v]))
-			for k, i := range g.pos[v] {
-				c.pos[v][k] = i
-			}
 		}
 	}
 	return c
@@ -300,11 +353,4 @@ func (g *Undirected) Equal(h *Undirected) bool {
 		}
 	})
 	return equal
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

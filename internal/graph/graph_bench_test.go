@@ -6,9 +6,9 @@ import (
 )
 
 // Hybrid adjacency benchmarks: most vertices stay under IndexThreshold and
-// are served by linear scans of the adjacency slice; a few hubs are
-// promoted to map indexes. The fixture builds a star-plus-ring shape so
-// both regimes are exercised: vertex 0 is a hub (degree >> threshold),
+// are served by linear scans of the adjacency slice; the edges of a few
+// hubs go through the edge table. The fixture builds a star-plus-ring shape
+// so both regimes are exercised: vertex 0 is a hub (degree >> threshold),
 // vertices 1..n are low degree.
 
 func hybridFixture(n int) *Undirected {
@@ -36,7 +36,7 @@ func BenchmarkHybridAdjacencyHasEdge(b *testing.B) {
 		u := rng.IntN(4096) + 1
 		v := rng.IntN(4096) + 1
 		_ = g.HasEdge(u, v) // low-degree vs low-degree: scan path
-		_ = g.HasEdge(0, u) // hub vs low-degree: map path
+		_ = g.HasEdge(0, u) // hub vs low-degree: table path
 	}
 }
 
@@ -63,7 +63,7 @@ func BenchmarkHybridAdjacencyAddRemove(b *testing.B) {
 	}
 }
 
-// BenchmarkHybridAdjacencyHubChurn hammers the promoted (map) path.
+// BenchmarkHybridAdjacencyHubChurn hammers the hub (edge table) path.
 func BenchmarkHybridAdjacencyHubChurn(b *testing.B) {
 	g := hybridFixture(4096)
 	b.ReportAllocs()

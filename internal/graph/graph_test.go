@@ -3,7 +3,10 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -202,7 +205,10 @@ func TestEqual(t *testing.T) {
 }
 
 // TestRandomizedAgainstMapModel drives the graph with random operations and
-// checks every observable against a simple map-based reference model.
+// checks every observable, and the edge table, against a simple map-based
+// reference model. Half of the operations touch one of three hot vertices
+// and mostly add, pushing them past IndexThreshold, so both the scan and
+// the table paths are exercised.
 func TestRandomizedAgainstMapModel(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	const n = 40
@@ -218,10 +224,14 @@ func TestRandomizedAgainstMapModel(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		u := rng.IntN(n)
 		v := rng.IntN(n)
+		hot := rng.IntN(2) == 0
+		if hot {
+			u = rng.IntN(3)
+		}
 		if u == v {
 			continue
 		}
-		if rng.IntN(2) == 0 {
+		if hot && rng.IntN(8) != 0 || !hot && rng.IntN(2) == 0 {
 			err := g.AddEdge(u, v)
 			if ref[key(u, v)] {
 				if !errors.Is(err, ErrDuplicateEdge) {
@@ -247,6 +257,16 @@ func TestRandomizedAgainstMapModel(t *testing.T) {
 		if g.NumEdges() != len(ref) {
 			t.Fatalf("step %d: m=%d want %d", step, g.NumEdges(), len(ref))
 		}
+		checkIndex(t, &g)
+	}
+	hubs := 0
+	for v := 0; v < n; v++ {
+		if g.hub[v] {
+			hubs++
+		}
+	}
+	if hubs == 0 || hubs == n {
+		t.Fatalf("%d of %d vertices are hubs; the mix must exercise both paths", hubs, n)
 	}
 	// Final full comparison of edge sets and degrees.
 	deg := make([]int, n)
@@ -429,10 +449,78 @@ func mustAdd(t *testing.T, g *Undirected, u, v int) {
 	}
 }
 
-// TestHybridIndexPromotion pins the hybrid adjacency invariants: no map
-// below the degree threshold, promotion exactly when the threshold is
-// crossed, sticky promotion on the way down, and a map index that stays
-// consistent with the slice across swap-removes in both regimes.
+// checkIndex verifies the edge table against the adjacency lists: a vertex
+// above IndexThreshold is a hub; an edge has an entry iff an endpoint is a
+// hub; each entry stores the arc's slot in adj on a hub side and -1 on a
+// non-hub side; the entry count is the number of hub edges; and every entry
+// sits on an unbroken probe run from its home slot at load <= 1/2.
+func checkIndex(t testing.TB, g *Undirected) {
+	t.Helper()
+	hubEdges := 0
+	for u := range g.adj {
+		if !g.hub[u] && len(g.adj[u]) > IndexThreshold {
+			t.Fatalf("vertex %d has degree %d but is not a hub", u, len(g.adj[u]))
+		}
+		for i, w := range g.adj[u] {
+			key, su := pack(u, int(w))
+			j, ok := g.idx.find(key)
+			if !g.hub[u] && !g.hub[w] {
+				if ok {
+					t.Fatalf("edge (%d,%d) between non-hubs has a table entry", u, w)
+				}
+				continue
+			}
+			if !ok {
+				t.Fatalf("hub edge (%d,%d) has no table entry", u, w)
+			}
+			want := int32(-1)
+			if g.hub[u] {
+				want = int32(i)
+			}
+			if got := g.idx.tab[j].slot[su]; got != want {
+				t.Fatalf("entry (%d,%d) stores slot %d on %d's side, want %d", u, w, got, u, want)
+			}
+			if int(w) > u {
+				hubEdges++
+			}
+		}
+	}
+	if g.idx.n != hubEdges {
+		t.Fatalf("table holds %d entries, graph has %d hub edges", g.idx.n, hubEdges)
+	}
+	checkProbeRuns(t, &g.idx)
+}
+
+// checkProbeRuns verifies the table's shape: the entry count matches the
+// occupied slots, the load is at most 1/2, and no empty slot lies between
+// an entry's home and its slot.
+func checkProbeRuns(t testing.TB, x *arcIndex) {
+	t.Helper()
+	used := 0
+	mask := len(x.tab) - 1
+	for j, e := range x.tab {
+		if e.key == 0 {
+			continue
+		}
+		used++
+		for i := x.home(e.key); i != j; i = (i + 1) & mask {
+			if x.tab[i].key == 0 {
+				t.Fatalf("entry %#x at slot %d: empty slot %d on its probe run", e.key, j, i)
+			}
+		}
+	}
+	if used != x.n {
+		t.Fatalf("table has %d occupied slots, counts %d", used, x.n)
+	}
+	if 2*x.n > len(x.tab) {
+		t.Fatalf("table load %d/%d above 1/2", x.n, len(x.tab))
+	}
+}
+
+// TestHybridIndexPromotion pins the hybrid adjacency invariants: no table
+// entry below the degree threshold, promotion exactly when the threshold
+// is crossed, sticky promotion on the way down, and table slots that stay
+// consistent with the slices across swap-removes in both regimes.
 func TestHybridIndexPromotion(t *testing.T) {
 	var g Undirected
 	hub := 0
@@ -440,37 +528,27 @@ func TestHybridIndexPromotion(t *testing.T) {
 		if err := g.AddEdge(hub, v); err != nil {
 			t.Fatal(err)
 		}
-		if g.pos[hub] != nil {
+		if g.hub[hub] || g.idx.n != 0 {
 			t.Fatalf("hub promoted at degree %d, threshold is %d", g.Degree(hub), IndexThreshold)
-		}
-		if g.pos[v] != nil {
-			t.Fatalf("degree-1 vertex %d has a map index", v)
 		}
 	}
 	if err := g.AddEdge(hub, IndexThreshold+1); err != nil {
 		t.Fatal(err)
 	}
-	if g.pos[hub] == nil {
-		t.Fatalf("hub not promoted at degree %d", g.Degree(hub))
+	if !g.hub[hub] || g.idx.n != IndexThreshold+1 {
+		t.Fatalf("hub not promoted at degree %d (%d entries)", g.Degree(hub), g.idx.n)
 	}
-	checkIndex := func() {
-		t.Helper()
-		for v := range g.adj {
-			p := g.pos[v]
-			if p == nil {
-				continue
-			}
-			if len(p) != len(g.adj[v]) {
-				t.Fatalf("pos[%d] has %d entries, adj has %d", v, len(p), len(g.adj[v]))
-			}
-			for i, w := range g.adj[v] {
-				if p[w] != int32(i) {
-					t.Fatalf("pos[%d][%d]=%d, adj index is %d", v, w, p[w], i)
-				}
-			}
+	checkIndex(t, &g)
+	// A second hub: the edge between the hubs stores both slots.
+	for v := 2; v <= IndexThreshold+2; v++ {
+		if v != IndexThreshold+1 {
+			mustAdd(t, &g, IndexThreshold+1, v+100)
 		}
 	}
-	checkIndex()
+	if !g.hub[IndexThreshold+1] {
+		t.Fatalf("vertex %d not promoted at degree %d", IndexThreshold+1, g.Degree(IndexThreshold+1))
+	}
+	checkIndex(t, &g)
 	// Remove from the middle and the end (swap-remove both regimes).
 	for _, v := range []int{1, IndexThreshold + 1, 7, 2} {
 		if err := g.RemoveEdge(hub, v); err != nil {
@@ -479,9 +557,20 @@ func TestHybridIndexPromotion(t *testing.T) {
 		if g.HasEdge(hub, v) {
 			t.Fatalf("edge (0,%d) still present after removal", v)
 		}
-		checkIndex()
+		checkIndex(t, &g)
 	}
-	// Sticky: dropping far below the threshold keeps the hub's index.
+	// A clone carries its own table.
+	c := g.Clone()
+	checkIndex(t, c)
+	if err := c.RemoveEdge(hub, 3); err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, c)
+	if !g.HasEdge(hub, 3) {
+		t.Fatal("clone removal leaked into the original's table")
+	}
+	checkIndex(t, &g)
+	// Sticky: dropping far below the threshold keeps the hub and its entries.
 	for v := 3; v <= IndexThreshold; v++ {
 		if v == 7 {
 			continue
@@ -493,8 +582,176 @@ func TestHybridIndexPromotion(t *testing.T) {
 	if g.Degree(hub) >= IndexThreshold {
 		t.Fatalf("hub degree still %d", g.Degree(hub))
 	}
-	if g.pos[hub] == nil {
-		t.Fatal("promotion is documented sticky but the index was dropped")
+	if !g.hub[hub] {
+		t.Fatal("promotion is documented sticky but the hub was demoted")
 	}
-	checkIndex()
+	checkIndex(t, &g)
+}
+
+// TestArcIndexBackwardShift deletes from probe runs whose home slots collide
+// at the end of the table and wrap past it, checking after every deletion
+// that each remaining key is found and no probe run is broken.
+func TestArcIndexBackwardShift(t *testing.T) {
+	var probe arcIndex
+	probe.reserve(1)
+	size := len(probe.tab)
+	// Keys whose homes are the last two slots and the first: their runs
+	// collide and wrap around the table's end.
+	var keys []uint64
+	want := map[int]int{size - 2: 2, size - 1: 3, 0: 2}
+	for v := 1; len(keys) < 7; v++ {
+		key, _ := pack(0, v)
+		if h := probe.home(key); want[h] > 0 {
+			want[h]--
+			keys = append(keys, key)
+		}
+	}
+	rng := rand.New(rand.NewPCG(5, 8))
+	for round := 0; round < 200; round++ {
+		var x arcIndex
+		x.reserve(len(keys))
+		if len(x.tab) != size {
+			t.Fatalf("table grew to %d, test needs %d", len(x.tab), size)
+		}
+		order := rng.Perm(len(keys))
+		for _, k := range order {
+			i, ok := x.find(keys[k])
+			if ok {
+				t.Fatalf("key %#x found before insertion", keys[k])
+			}
+			x.put(i, keys[k], [2]int32{int32(k), -1})
+		}
+		checkProbeRuns(t, &x)
+		live := map[uint64]int32{}
+		for k, key := range keys {
+			live[key] = int32(k)
+		}
+		for _, k := range rng.Perm(len(keys)) {
+			i, ok := x.find(keys[k])
+			if !ok {
+				t.Fatalf("round %d: key %#x lost", round, keys[k])
+			}
+			x.del(i)
+			delete(live, keys[k])
+			checkProbeRuns(t, &x)
+			for key, slot := range live {
+				i, ok := x.find(key)
+				if !ok || x.tab[i].slot[0] != slot {
+					t.Fatalf("round %d: after deleting %#x, key %#x found=%v", round, keys[k], key, ok)
+				}
+			}
+			if _, ok := x.find(keys[k]); ok {
+				t.Fatalf("round %d: deleted key %#x still found", round, keys[k])
+			}
+		}
+	}
+}
+
+// TestBulkBuildMatchesAddEdge checks that ReadEdgeList's one-pass build
+// equals AddEdge over the same lines in order, with self loops and
+// repeated edges skipped: the same vertices, adjacency order, hubs and a
+// consistent edge table.
+func TestBulkBuildMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	random := func(n, m int) [][2]int {
+		out := make([][2]int, m)
+		for i := range out {
+			out[i] = [2]int{rng.IntN(n), rng.IntN(n)}
+		}
+		return out
+	}
+	star := func(spokes, repeat int) [][2]int {
+		var out [][2]int
+		for r := 0; r < repeat; r++ {
+			for v := 1; v <= spokes; v++ {
+				out = append(out, [2]int{v, 0})
+			}
+		}
+		return append(out, [2]int{spokes + 5, spokes + 5})
+	}
+	cases := map[string][][2]int{
+		"empty":        nil,
+		"sparse":       random(500, 800),
+		"dense":        random(60, 3000),
+		"hub":          star(IndexThreshold+8, 1),
+		"repeated hub": star(IndexThreshold+8, 3),
+		// Raw degree 40, real degree 20: marked a hub up front, then demoted.
+		"demoted":      star(IndexThreshold/2+4, 2),
+		"at threshold": append(star(IndexThreshold, 1), star(IndexThreshold+1, 1)[IndexThreshold:]...),
+	}
+	for name, edges := range cases {
+		t.Run(name, func(t *testing.T) {
+			var text strings.Builder
+			var want Undirected
+			for _, e := range edges {
+				fmt.Fprintf(&text, "%d %d\n", e[0], e[1])
+				if err := want.AddEdge(e[0], e[1]); err != nil &&
+					!errors.Is(err, ErrDuplicateEdge) && !errors.Is(err, ErrSelfLoop) {
+					t.Fatal(err)
+				}
+			}
+			got, err := ReadEdgeList(strings.NewReader(text.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
+				t.Fatalf("n=%d m=%d, want n=%d m=%d",
+					got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
+			}
+			for v := range want.adj {
+				if !slices.Equal(got.adj[v], want.adj[v]) {
+					t.Fatalf("adj[%d] = %v, want %v", v, got.adj[v], want.adj[v])
+				}
+				if got.hub[v] != want.hub[v] {
+					t.Fatalf("hub[%d] = %v, want %v", v, got.hub[v], want.hub[v])
+				}
+			}
+			checkIndex(t, got)
+			checkIndex(t, &want)
+			// The built graph keeps working under mutation.
+			for _, e := range edges {
+				if got.HasEdge(e[0], e[1]) {
+					if err := got.RemoveEdge(e[0], e[1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got.NumEdges() != 0 {
+				t.Fatalf("m=%d after removing every edge", got.NumEdges())
+			}
+			checkIndex(t, got)
+		})
+	}
+}
+
+// TestVertexRange checks that ids above MaxVertex are rejected before the
+// vertex arrays grow.
+func TestVertexRange(t *testing.T) {
+	var g Undirected
+	mustAdd(t, &g, 0, 1)
+	for _, e := range [][2]int{{0, MaxVertex + 1}, {MaxVertex + 1, 0}, {-1, 0}, {0, math.MaxInt}} {
+		if err := g.AddEdge(e[0], e[1]); !errors.Is(err, ErrVertexRange) {
+			t.Fatalf("AddEdge(%d,%d) = %v, want ErrVertexRange", e[0], e[1], err)
+		}
+	}
+	if g.NumVertices() != 2 || g.NumEdges() != 1 {
+		t.Fatalf("n=%d m=%d after rejected inserts", g.NumVertices(), g.NumEdges())
+	}
+	if err := g.RemoveEdge(0, MaxVertex+1); !errors.Is(err, ErrMissingEdge) {
+		t.Fatalf("RemoveEdge of unknown vertex = %v", err)
+	}
+	for _, in := range []string{"0 1\n0 3000000000\n", "0 1\n0 2147483648\n", "0 1\n99999999999999999999 0\n"} {
+		_, err := ReadEdgeList(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("input %q: err = %v, want a line 2 error", in, err)
+		}
+	}
+	if _, err := ReadEdgeList(strings.NewReader("0 3000000000\n")); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("err = %v, want ErrVertexRange", err)
+	}
+	// The largest id parses; a successful insert of it would allocate 2^31
+	// vertices, so only the parser is checked.
+	if v, err := parseVertex([]byte("2147483647")); err != nil || v != MaxVertex {
+		t.Fatalf("parseVertex(MaxVertex) = %d, %v", v, err)
+	}
 }

@@ -18,12 +18,13 @@ type relocation struct {
 // It returns the set of vertices whose core number increased and the number
 // of vertices the scan expanded (|V+|).
 func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
-	m.EnsureVertex(u)
-	m.EnsureVertex(v)
-	// Preparing phase: K, root, edge, deg+ and mcd edge deltas.
+	// Preparing phase: K, root, edge, deg+ and mcd edge deltas. The graph
+	// validates the edge before anything grows.
 	if err := m.g.AddEdge(u, v); err != nil {
 		return UpdateResult{}, err
 	}
+	m.EnsureVertex(u)
+	m.EnsureVertex(v)
 	m.stats.Inserts++
 	// mcd deltas use pre-update core numbers (the V* rise is accounted for
 	// separately below, uniformly over all edges including this one).

@@ -113,6 +113,16 @@ func TestInsertErrors(t *testing.T) {
 	if _, err := m.Insert(0, 0); !errors.Is(err, graph.ErrSelfLoop) {
 		t.Fatalf("self loop error = %v", err)
 	}
+	// Rejected inserts leave the vertex set as it was.
+	if _, err := m.Insert(7, 7); !errors.Is(err, graph.ErrSelfLoop) {
+		t.Fatalf("self loop on a new vertex error = %v", err)
+	}
+	if _, err := m.Insert(0, graph.MaxVertex+1); !errors.Is(err, graph.ErrVertexRange) {
+		t.Fatalf("out-of-range insert error = %v", err)
+	}
+	if n := len(m.Cores()); n != 2 || g.NumVertices() != 2 {
+		t.Fatalf("rejected inserts grew the vertex set to %d (graph %d)", n, g.NumVertices())
+	}
 	if _, err := m.Remove(0, 5); err == nil {
 		t.Fatal("remove unknown edge should fail")
 	}

@@ -114,6 +114,7 @@ func TestBatchErrorMapping(t *testing.T) {
 	}{
 		{"self loop", []wire.Update{{Op: "add", U: 3, V: 3}}, wire.CodeSelfLoop, 422, 0},
 		{"negative vertex", []wire.Update{{Op: "add", U: -1, V: 2}}, wire.CodeVertexRange, 422, 0},
+		{"vertex above int32", []wire.Update{{Op: "add", U: 2, V: 3}, {Op: "add", U: 0, V: 1 << 31}}, wire.CodeVertexRange, 422, 1},
 		{"duplicate", []wire.Update{{Op: "add", U: 2, V: 3}, {Op: "add", U: 0, V: 1}}, wire.CodeDuplicateEdge, 409, 1},
 		{"missing", []wire.Update{{Op: "remove", U: 5, V: 6}}, wire.CodeMissingEdge, 409, 0},
 		{"bad op", []wire.Update{{Op: "toggle", U: 1, V: 2}}, wire.CodeBadRequest, 400, 0},

@@ -13,7 +13,8 @@ const (
 	CodeBadRequest = "bad_request"
 	// CodeSelfLoop: an update named an edge (v, v) (HTTP 422).
 	CodeSelfLoop = "self_loop"
-	// CodeVertexRange: an update named a negative vertex id (HTTP 422).
+	// CodeVertexRange: an update named a vertex id that is negative or
+	// above 2^31-1 (HTTP 422).
 	CodeVertexRange = "vertex_range"
 	// CodeDuplicateEdge: an inserted edge was already present (HTTP 409).
 	CodeDuplicateEdge = "duplicate_edge"

@@ -70,12 +70,11 @@ func chaosExperiment(cfg bench.Config) []bench.Result {
 	return []bench.Result{
 		{
 			// NsPerOp here is the availability fraction, not a duration —
-			// the unit param spells it out. The regression guard compares
-			// named results, so the unconventional unit stays local.
+			// the unit param spells it out.
 			Name:       "chaos/write-availability",
 			NsPerOp:    availability,
 			Iterations: writes,
-			Params: map[string]any{
+			Params: bench.StampParams(map[string]any{
 				"unit":              "fraction of write batches acked applied (NOT ns)",
 				"seeds":             chaosSeeds,
 				"first_seed":        cfg.Seed,
@@ -89,19 +88,19 @@ func chaosExperiment(cfg bench.Config) []bench.Result {
 				"mean_final_edges":  totalFinalEdges / chaosSeeds,
 				"mean_run_ms":       totalElapsedMS / chaosSeeds,
 				"episodes_per_seed": 12,
-			},
+			}),
 		},
 		{
 			Name:       "chaos/recovery-median",
 			NsPerOp:    medianMS * 1e6,
 			Iterations: recoveries,
-			Params: map[string]any{
+			Params: bench.StampParams(map[string]any{
 				"unit":         "median degraded→healthy recovery (ns)",
 				"median_ms":    medianMS,
 				"max_ms":       maxMS,
 				"degradations": degradations,
 				"recoveries":   recoveries,
-			},
+			}),
 		},
 	}
 }

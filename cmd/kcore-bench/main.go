@@ -1,28 +1,28 @@
 // Command kcore-bench regenerates the paper's tables and figures on the
-// synthetic dataset analogs (DESIGN.md §4 maps each experiment to its
-// driver; EXPERIMENTS.md records measured outputs).
+// synthetic dataset analogs and runs the engine- and service-level
+// experiments whose recorded results live in the BENCH_*.json files
+// (EXPERIMENTS.md records and explains the measured outputs).
 //
 // Usage:
 //
-//	kcore-bench                                 run every experiment
+//	kcore-bench                                 run every paper experiment
 //	kcore-bench -experiment table2 -edges 2000  one experiment, custom size
 //	kcore-bench -datasets facebook-sim,ca-sim   restrict datasets
 //	kcore-bench -experiment hotpath -json out.json   machine-readable results
-//	kcore-bench -experiment parallel -json BENCH_parallel.json
+//	kcore-bench -experiment parallel -min-speedup 1.5 -json BENCH_parallel.json
 //	kcore-bench -experiment serve2 -fanout 100,1000,10000 -json BENCH_serve.json
-//	kcore-bench -compare OLD.json,NEW.json -compare-name engine/apply-batch -max-ratio 1.2
+//
+// -min-speedup turns parallel, serve2 and readpath into gates: the run
+// exits non-zero unless the experiment's headline ratio reaches the bound.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"kcore"
 	"kcore/internal/bench"
@@ -30,31 +30,23 @@ import (
 	"kcore/internal/gen"
 )
 
+// measuredExperiments are the engine- and service-level experiments this
+// command runs itself, on top of the paper's registry in internal/bench.
+var measuredExperiments = []string{"parallel", "serve2", "persist", "replicate", "chaos", "readpath"}
+
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment name: all|batchapi|parallel|serve|serve2|persist|replicate|chaos|readpath|"+strings.Join(bench.ExperimentNames, "|"))
+		experiment = flag.String("experiment", "all", "experiment name: all|"+strings.Join(measuredExperiments, "|")+"|"+strings.Join(bench.ExperimentNames, "|"))
 		edges      = flag.Int("edges", 10000, "workload edges per dataset (paper: 100000)")
 		groups     = flag.Int("groups", 10, "stability-test groups (paper: 100)")
 		hops       = flag.String("hops", "2,3,4,5,6", "traversal hop variants")
 		seed       = flag.Uint64("seed", 42, "RNG seed")
 		dsNames    = flag.String("datasets", "", "comma-separated dataset subset (default: all 11)")
-		jsonPath   = flag.String("json", "", "write measured results (hotpath, batchapi, parallel and serve experiments) as one JSON document to this path")
-		compare    = flag.String("compare", "", "regression guard: OLD.json,NEW.json — compare the -compare-name result and exit 1 when NEW exceeds OLD by more than -max-ratio")
-		cmpName    = flag.String("compare-name", "engine/apply-batch", "result name checked by -compare")
-		maxRatio   = flag.Float64("max-ratio", 1.2, "largest allowed NEW/OLD ns-per-op ratio for -compare")
+		jsonPath   = flag.String("json", "", "write measured results (hotpath and the engine- and service-level experiments) as one JSON document to this path")
 		fanout     = flag.String("fanout", "100,1000,10000", "watcher tiers the serve2 fan-out sweep runs")
-		minSpeedup = flag.Float64("min-speedup", 0, "speedup guard: serve2 fails unless binary ingest beats JSON by this factor; readpath fails unless epoch reads beat locked reads by it (0 = off)")
-		jsonMerge  = flag.Bool("json-merge", false, "merge -json results into an existing report instead of overwriting it (same-name rows are replaced)")
+		minSpeedup = flag.Float64("min-speedup", 0, "speedup gate (0 = off): parallel fails unless forced maintenance of the build batch is this much slower than the default recompute; serve2 unless binary ingest beats JSON by it; readpath unless epoch reads beat locked reads by it")
 	)
 	flag.Parse()
-	mergeReports = *jsonMerge
-
-	if *compare != "" {
-		if err := compareReports(*compare, *cmpName, *maxRatio); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	cfg := bench.Config{
 		Out:    os.Stdout,
@@ -82,17 +74,9 @@ func main() {
 	report := bench.NewReport()
 
 	switch *experiment {
-	case "batchapi":
-		report.Results = append(report.Results, batchAPI(*edges, *seed)...)
-		writeReport(report, *jsonPath)
-		return
 	case "parallel":
 		fmt.Println("=== parallel ===")
-		report.Results = append(report.Results, parallelExperiment(cfg)...)
-		writeReport(report, *jsonPath)
-		return
-	case "serve":
-		report.Results = append(report.Results, serveExperiment(cfg)...)
+		report.Results = append(report.Results, parallelExperiment(cfg, *minSpeedup)...)
 		writeReport(report, *jsonPath)
 		return
 	case "serve2":
@@ -136,8 +120,8 @@ func main() {
 	names := bench.ExperimentNames
 	if *experiment != "all" {
 		if _, ok := bench.Experiments[*experiment]; !ok {
-			fatal(fmt.Errorf("unknown experiment %q (valid: all, batchapi, parallel, serve, serve2, persist, replicate, chaos, readpath, %s)",
-				*experiment, strings.Join(bench.ExperimentNames, ", ")))
+			fatal(fmt.Errorf("unknown experiment %q (valid: all, %s, %s)", *experiment,
+				strings.Join(measuredExperiments, ", "), strings.Join(bench.ExperimentNames, ", ")))
 		}
 		names = []string{*experiment}
 	}
@@ -157,41 +141,9 @@ func main() {
 
 // writeReport writes the JSON document when -json was given. An empty
 // result list still produces a valid (schema-stamped) report.
-// mergeReports makes writeReport fold results into an existing report file
-// (set by -json-merge); BENCH_serve.json carries both the serve and serve2
-// experiments this way.
-var mergeReports bool
-
 func writeReport(r *bench.Report, path string) {
 	if path == "" {
 		return
-	}
-	if mergeReports {
-		if old, err := loadReportDoc(path); err == nil {
-			fresh := make(map[string]bench.Result, len(r.Results))
-			order := []string{}
-			for _, res := range r.Results {
-				if _, ok := fresh[res.Name]; !ok {
-					order = append(order, res.Name)
-				}
-				fresh[res.Name] = res
-			}
-			merged := make([]bench.Result, 0, len(old.Results)+len(r.Results))
-			for _, res := range old.Results {
-				if nres, ok := fresh[res.Name]; ok {
-					merged = append(merged, nres)
-					delete(fresh, nres.Name)
-					continue
-				}
-				merged = append(merged, res)
-			}
-			for _, name := range order {
-				if res, ok := fresh[name]; ok {
-					merged = append(merged, res)
-				}
-			}
-			r.Results = merged
-		}
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -252,171 +204,17 @@ func engineHotpath(edges int, seed uint64) []bench.Result {
 	return results
 }
 
-// compareReports is the CI regression guard: it loads two BENCH_*.json
-// reports ("old,new"), finds the named result in each, and fails when the
-// new ns/op exceeds the old by more than maxRatio. Both reports must come
-// from the same machine for the ratio to mean anything — CI compares the
-// committed baseline files, which were measured together.
-func compareReports(spec, name string, maxRatio float64) error {
-	parts := strings.Split(spec, ",")
-	if len(parts) != 2 {
-		return fmt.Errorf("-compare wants OLD.json,NEW.json, got %q", spec)
-	}
-	oldPath, newPath := strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
-	oldRes, err := loadReport(oldPath)
-	if err != nil {
-		return err
-	}
-	newRes, err := loadReport(newPath)
-	if err != nil {
-		return err
-	}
-	o, ok := oldRes[name]
-	if !ok {
-		return fmt.Errorf("result %q is missing from %s (have: %s)",
-			name, oldPath, strings.Join(resultNames(oldRes), ", "))
-	}
-	n, ok := newRes[name]
-	if !ok {
-		return fmt.Errorf("result %q is missing from %s (have: %s)",
-			name, newPath, strings.Join(resultNames(newRes), ", "))
-	}
-	if o.NsPerOp <= 0 {
-		return fmt.Errorf("%s: old ns/op %.0f is not positive", name, o.NsPerOp)
-	}
-	ratio := n.NsPerOp / o.NsPerOp
-	fmt.Printf("%s: old %.0f ns/op, new %.0f ns/op, ratio %.3f (limit %.2f)\n",
-		name, o.NsPerOp, n.NsPerOp, ratio, maxRatio)
-	if ratio > maxRatio {
-		return fmt.Errorf("%s regressed: ratio %.3f exceeds %.2f", name, ratio, maxRatio)
-	}
-	return nil
-}
-
-// reportHint names the expected baseline schema and how to regenerate the
-// file; every loadReport failure carries it so a missing or malformed
-// baseline is actionable instead of a raw unmarshal message.
-func reportHint(path string) string {
-	return fmt.Sprintf("%s must be a kcore-bench JSON report (schema %q, shape "+
-		`{"schema":%q,"go":...,"arch":...,"results":[{"name":...,"ns_per_op":...}]}); `+
-		"regenerate it with: go run ./cmd/kcore-bench -experiment <name> -json %s",
-		path, bench.ReportSchema, bench.ReportSchema, path)
-}
-
-// loadReportDoc reads one report document whole, for -json-merge.
-func loadReportDoc(path string) (*bench.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rep bench.Report
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		return nil, err
-	}
-	if rep.Schema != bench.ReportSchema {
-		return nil, fmt.Errorf("%s has schema %q, want %q", path, rep.Schema, bench.ReportSchema)
-	}
-	return &rep, nil
-}
-
-// loadReport reads one BENCH_*.json report into a name-indexed result map,
-// explaining exactly what is wrong (and how to fix it) on failure.
-func loadReport(path string) (map[string]bench.Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("baseline report %s does not exist; %s", path, reportHint(path))
-		}
-		return nil, fmt.Errorf("open baseline report: %w; %s", err, reportHint(path))
-	}
-	defer f.Close()
-	var rep bench.Report
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("%s is not valid JSON (%v); %s", path, err, reportHint(path))
-	}
-	if rep.Schema != bench.ReportSchema {
-		return nil, fmt.Errorf("%s has schema %q, want %q; %s",
-			path, rep.Schema, bench.ReportSchema, reportHint(path))
-	}
-	if len(rep.Results) == 0 {
-		return nil, fmt.Errorf("%s contains no results; %s", path, reportHint(path))
-	}
-	byName := make(map[string]bench.Result, len(rep.Results))
-	for _, r := range rep.Results {
-		byName[r.Name] = r
-	}
-	return byName, nil
-}
-
-// resultNames lists a report's result names, sorted, for error messages.
-func resultNames(m map[string]bench.Result) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "kcore-bench:", err)
 	os.Exit(1)
 }
 
-// batchAPI measures the v1 public API head to head: one Apply batch against
-// the same insertions through per-call AddEdge. It exercises the engine
-// boundary (locking, validation, result assembly), unlike the algorithm
-// experiments above which call the maintainers directly. The returned
-// results carry best-of-rounds wall time only; allocation counters come
-// from the hotpath experiment.
-func batchAPI(edges int, seed uint64) []bench.Result {
-	g := gen.BarabasiAlbert(max(edges/3, 100), 4, seed)
-	all := g.Edges()
-	if len(all) > edges {
-		all = all[:edges]
+// speedupGate is the -min-speedup check every gated experiment shares: it
+// fails when got, the ratio name describes (e.g. "serve2/ingest-json ÷
+// serve2/ingest-binary"), is below bound. A bound <= 0 disables the gate.
+func speedupGate(name string, got, bound float64) error {
+	if bound > 0 && got < bound {
+		return fmt.Errorf("%s = %.2fx is below the required %.2fx", name, got, bound)
 	}
-	batch := make(kcore.Batch, len(all))
-	for i, ed := range all {
-		batch[i] = kcore.Add(ed[0], ed[1])
-	}
-	fmt.Printf("=== batchapi === (%d insertions, BA graph)\n", len(all))
-
-	const rounds = 5
-	var batchBest, singleBest time.Duration
-	for r := 0; r < rounds; r++ {
-		e := kcore.NewEngine()
-		start := time.Now()
-		if _, err := e.Apply(batch); err != nil {
-			fatal(err)
-		}
-		if d := time.Since(start); r == 0 || d < batchBest {
-			batchBest = d
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		e := kcore.NewEngine()
-		start := time.Now()
-		for _, ed := range all {
-			if _, err := e.AddEdge(ed[0], ed[1]); err != nil {
-				fatal(err)
-			}
-		}
-		if d := time.Since(start); r == 0 || d < singleBest {
-			singleBest = d
-		}
-	}
-	fmt.Printf("Apply(batch):   %12v  (%.0f ns/edge)\n",
-		batchBest, float64(batchBest.Nanoseconds())/float64(len(all)))
-	fmt.Printf("AddEdge loop:   %12v  (%.0f ns/edge)\n",
-		singleBest, float64(singleBest.Nanoseconds())/float64(len(all)))
-	fmt.Printf("speedup:        %12.2fx\n", float64(singleBest)/float64(batchBest))
-	params := map[string]any{
-		"edges": len(all), "rounds": rounds, "unit": "ns per whole workload",
-		"allocs_measured": false,
-	}
-	return []bench.Result{
-		{Name: "batchapi/apply", NsPerOp: float64(batchBest.Nanoseconds()), Iterations: rounds, Params: params},
-		{Name: "batchapi/per-edge", NsPerOp: float64(singleBest.Nanoseconds()), Iterations: rounds, Params: params},
-	}
+	return nil
 }

@@ -12,25 +12,35 @@ import (
 )
 
 // Maintain-vs-recompute experiment: measured evidence for the batch
-// execution switch. The experiment keeps its historical name ("parallel")
-// so BENCH_parallel.json and its CI guards stay addressable. Two questions,
-// one row group each:
+// execution switch. The name "parallel" predates the switch and is kept so
+// BENCH_parallel.json and the CI step that runs it keep their names. Two
+// questions, one row group each:
 //
 //  1. engine/apply-batch — the headline engine benchmark (10k-edge batch
 //     into an empty engine) on the default path. The batch equals the
-//     whole graph, so the cost model routes it to one O(m+n) recomputation;
-//     this row is compared against BENCH_hotpath.json's baseline by the CI
-//     regression guard. engine/apply-batch/maintain forces the same
-//     workload down the incremental path (recompute disabled).
+//     whole graph, so the cost model routes it to one O(m+n) recomputation.
+//     engine/apply-batch/maintain forces the same workload down the
+//     incremental path (recompute disabled). With -min-speedup the run
+//     fails unless maintain ÷ apply-batch reaches the bound: the switch
+//     must still route the build batch to recomputation, and recomputation
+//     must still win.
 //  2. engine/rebuild-crossover/* — maintain vs recompute for growing batch
 //     fractions of m, locating the crossover the cost model's default
 //     fraction is calibrated from.
 
 // parallelExperiment runs the experiment and returns the structured results.
-func parallelExperiment(cfg bench.Config) []bench.Result {
+func parallelExperiment(cfg bench.Config, minSpeedup float64) []bench.Result {
 	cfg = cfg.WithDefaults()
 	bench.PrintResultHeader(cfg.Out)
-	return append(applyBatchRows(cfg), crossoverRows(cfg)...)
+	rows := applyBatchRows(cfg)
+	speedup := rows[1].NsPerOp / rows[0].NsPerOp
+	rows[0].Params["speedup_vs_maintain"] = speedup
+	fmt.Fprintf(cfg.Out, "%-28s %.2fx (maintain %.0f ns/batch, default %.0f ns/batch)\n",
+		"engine/apply-batch-speedup", speedup, rows[1].NsPerOp, rows[0].NsPerOp)
+	if err := speedupGate("engine/apply-batch/maintain ÷ engine/apply-batch", speedup, minSpeedup); err != nil {
+		fatal(err)
+	}
+	return append(rows, crossoverRows(cfg)...)
 }
 
 // applyBatchRows mirrors the hotpath experiment's engine/apply-batch

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -329,5 +330,22 @@ func TestHotpath(t *testing.T) {
 	}
 	if back.Schema != ReportSchema || len(back.Results) != len(results) {
 		t.Fatalf("round-tripped report = %+v", back)
+	}
+}
+
+func TestStampParams(t *testing.T) {
+	in := map[string]any{"edges": 10}
+	p := StampParams(in)
+	if len(in) != 1 {
+		t.Fatalf("StampParams mutated its input: %v", in)
+	}
+	if p["edges"] != 10 || p["gomaxprocs"] != runtime.GOMAXPROCS(0) || p["cpus"] != runtime.NumCPU() {
+		t.Fatalf("params = %v", p)
+	}
+	// 1.0 when two spinners serialize, 2.0 when they run in parallel; a
+	// busy host can push it either way, so only the sign and scale are
+	// checked.
+	if c, ok := p["effective_cores"].(float64); !ok || c <= 0 || c > 4 {
+		t.Fatalf("effective_cores = %v, want a float in (0, 4]", p["effective_cores"])
 	}
 }

@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"kcore/internal/gen"
 	"kcore/internal/graph"
@@ -24,9 +28,9 @@ import (
 // trajectory format.
 //
 // AllocsPerOp and BytesPerOp are pointers so that a result which never
-// measured allocations (the latency-style experiments: serve, replicate,
-// chaos) omits the fields entirely instead of reporting a misleading 0,
-// while a genuinely measured zero — the whole point of the hot-path
+// measured allocations (the latency-style experiments: serve2's HTTP rows,
+// replicate, chaos) omits the fields entirely instead of reporting a
+// misleading 0, while a genuinely measured zero — the whole point of the hot-path
 // experiments — still serializes as 0. Use Measured to set them.
 type Result struct {
 	Name        string         `json:"name"`
@@ -82,17 +86,60 @@ func PrintResultHeader(w io.Writer) {
 
 // StampParams copies params (so callers' maps stay untouched) and stamps
 // the runtime environment every measured result must carry for
-// reproducibility: GOMAXPROCS and the physical CPU count. Experiment-
-// specific worker counts are the caller's responsibility.
+// reproducibility: GOMAXPROCS, the CPU count the OS reports, and the
+// effective cores a spin calibration measured (see effectiveCores).
+// Experiment-specific worker counts are the caller's responsibility.
 func StampParams(params map[string]any) map[string]any {
-	out := make(map[string]any, len(params)+2)
+	out := make(map[string]any, len(params)+3)
 	for k, v := range params {
 		out[k] = v
 	}
 	out["gomaxprocs"] = runtime.GOMAXPROCS(0)
 	out["cpus"] = runtime.NumCPU()
+	out["effective_cores"] = effectiveCores()
 	return out
 }
+
+// effectiveCores reports how much parallelism the box really gives, which
+// a shared or throttled host can put below cpus: 2·one/two, where one is
+// the wall time of one spinning goroutine and two that of two spinning at
+// once on the same fixed work. It reads 1.0 when the two serialize and 2.0
+// when they run fully in parallel. Tries alternate between one and two so
+// a drifting clock speed or a neighbour's burst hits both alike; each
+// keeps its fastest of five. The calibration runs once per process, on
+// first use (about 0.3 s).
+var effectiveCores = sync.OnceValue(func() float64 {
+	const work = 20_000_000
+	var sink atomic.Uint64
+	timed := func(workers int) time.Duration {
+		var wg sync.WaitGroup
+		start := time.Now()
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				x := uint64(1)
+				for j := 0; j < work; j++ {
+					x = x*6364136223846793005 + 1442695040888963407
+				}
+				sink.Add(x)
+			}()
+		}
+		wg.Wait()
+		return time.Since(start)
+	}
+	timed(2) // warm up
+	var one, two time.Duration
+	for try := 0; try < 5; try++ {
+		if d := timed(1); one == 0 || d < one {
+			one = d
+		}
+		if d := timed(2); two == 0 || d < two {
+			two = d
+		}
+	}
+	return math.Round(200*one.Seconds()/two.Seconds()) / 100
+})
 
 // RunMeasured runs fn through the benchmark runner, prints one table row
 // to w, and returns the structured result. It is the shared measurement

@@ -23,9 +23,6 @@ import (
 
 // FollowerOptions tunes the follower side. The zero value picks defaults.
 type FollowerOptions struct {
-	// Engine options applied when rebuilding the engine from a shipped
-	// snapshot (rebuild thresholds).
-	Engine []kcore.Option
 	// Client is the HTTP client for the stream and the seq poll. The
 	// default enables TCP keepalives (dead primaries are detected within
 	// tens of seconds) and must NOT set Client.Timeout — the stream is
@@ -247,7 +244,7 @@ func (f *Follower) connect() (*stream, error) {
 			resp.Body.Close()
 			return nil, fmt.Errorf("replicate: shipped snapshot: %w", err)
 		}
-		fresh, err := kcore.FromIndex(st, f.opts.Engine...)
+		fresh, err := kcore.FromIndex(st)
 		if err != nil {
 			resp.Body.Close()
 			return nil, fmt.Errorf("replicate: restore shipped snapshot: %w", err)
